@@ -11,8 +11,10 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "graph/graph.h"
+#include "support/huge_page_allocator.h"
 
 namespace dhc::congest {
 
@@ -54,6 +56,15 @@ struct Message {
     return m;
   }
 };
+
+// Metrics::arena_bytes_peak is in-flight messages × sizeof(Message), so this
+// size is pinned by perfbench/pins.json and the congest_golden digests:
+// changing it changes observable counters, not just speed.
+static_assert(sizeof(Message) == 56, "Message size is pinned by arena_bytes_peak goldens");
+
+/// The simulator's message buffers (outbox log, inbox arena, shard logs):
+/// huge-page backed when large (support/huge_page_allocator.h).
+using MessageArena = std::vector<Message, support::HugePageAllocator<Message>>;
 
 /// Bits for a message of `words` payload words when one word costs
 /// `id_bits` bits: the single definition of the CONGEST bit model, shared

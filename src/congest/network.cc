@@ -39,6 +39,40 @@ std::uint64_t env_bytes_or(const char* name, std::uint64_t fallback) {
   return static_cast<std::uint64_t>(parsed);
 }
 
+// How many messages ahead the stable scatter prefetches its destination:
+// far enough to cover a DRAM miss at the loop's few-ns-per-message pace
+// (DESIGN.md §4).
+constexpr std::size_t kScatterPrefetch = 16;
+
+void prefetch_for_write(const void* p) {
+#if defined(__GNUC__)
+  __builtin_prefetch(p, 1);
+#else
+  (void)p;
+#endif
+}
+
+// Stable scatter: copies src, in order, to dst[cursor[m.to]++], so send
+// order becomes per-receiver arrival order.  The writes land in random
+// receiver slices of an arena far larger than the caches, so the slot of the
+// message kScatterPrefetch positions ahead is prefetched: its first and last
+// byte, since a 56 B slot can straddle two cache lines.  That cursor is read
+// early, so when a receiver takes several of the next kScatterPrefetch
+// messages the prefetch lands a slot short and is merely wasted.  The copies
+// are the plain loop's, so results never depend on the prefetch.
+void scatter_stable(const MessageArena& src, std::uint32_t* cursor, Message* dst) {
+  const std::size_t count = src.size();
+  const std::size_t ahead_end = count > kScatterPrefetch ? count - kScatterPrefetch : 0;
+  std::size_t i = 0;
+  for (; i < ahead_end; ++i) {
+    const auto* next = reinterpret_cast<const char*>(dst + cursor[src[i + kScatterPrefetch].to]);
+    prefetch_for_write(next);
+    prefetch_for_write(next + sizeof(Message) - 1);
+    dst[cursor[src[i].to]++] = src[i];
+  }
+  for (; i < count; ++i) dst[cursor[src[i].to]++] = src[i];
+}
+
 }  // namespace
 
 std::uint32_t default_shards() { return env_or("DHC_SHARDS", 1); }
@@ -206,20 +240,16 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg) : graph_(&g), cfg_(cf
   inbox_len_.assign(n, 0);
   inbox_cursor_.assign(n, 0);
   has_mail_.assign(n, 0);
-  // Directed-edge load table, indexed by the graph's CSR layout: the edge id
-  // of u→v is row_offsets[u] + neighbor_rank(u, v).
-  const auto offsets = g.row_offsets();
-  edge_offsets_.assign(offsets.begin(), offsets.end());
-  const std::size_t total_directed = edge_offsets_.empty() ? 0 : edge_offsets_.back();
-  edge_load_.assign(total_directed, 0);
-  edge_load_round_.assign(total_directed, static_cast<std::uint64_t>(-1));
+  budget_.slots.resize(g.max_degree());
 
   wheel_.resize(kWheelSize);
 
   faults_ = cfg_.faults;
   if (faults_ != nullptr) {
     delay_wheel_.resize(kWheelSize);
-    link_free_at_.assign(total_directed, 0);
+    // Per directed edge, indexed by the graph's CSR layout (edge_id()).
+    const auto offsets = g.row_offsets();
+    link_free_at_.assign(offsets.empty() ? 0 : offsets.back(), 0);
     if (faults_->round_limit() != 0) {
       cfg_.max_rounds = std::min(cfg_.max_rounds, faults_->round_limit());
     }
@@ -240,12 +270,16 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg) : graph_(&g), cfg_(cf
 Network::~Network() = default;
 
 void Network::throw_non_neighbor(NodeId from, NodeId to) const {
-  throw CongestViolation("node " + std::to_string(from) + " sent to non-neighbor " +
-                         std::to_string(to) + " in round " + std::to_string(round_));
+  // A protocol that sends before choosing a destination passes kNoNode;
+  // name the sentinel instead of printing its numeric value.
+  const std::string target = to == kNoNode ? "kNoNode (unset destination)"
+                                           : "non-neighbor " + std::to_string(to);
+  throw CongestViolation("node " + std::to_string(from) + " sent to " + target + " in round " +
+                         std::to_string(round_));
 }
 
-void Network::throw_over_capacity(const std::vector<Message>& round_outbox, NodeId from,
-                                  NodeId to, const Message& msg) const {
+void Network::throw_over_capacity(const MessageArena& round_outbox, NodeId from, NodeId to,
+                                  const Message& msg) const {
   // All of this round's prior sends on (from → to) live in the sender's own
   // outbox log — sequential or shard-local alike — so the diagnostic is
   // identical for every shard count.
@@ -303,9 +337,9 @@ std::uint64_t Network::next_armed_round() const {
 }
 
 void Network::enqueue_async(NodeId from, NodeId to, const Message& msg) {
-  const std::size_t edge_id = edge_offsets_[from] + graph_->neighbor_rank(from, to);
+  const std::size_t edge = edge_id(from, to);
   if (reliable_ == nullptr) {
-    file_async(from, to, edge_id, msg);
+    file_async(from, to, edge, msg);
     return;
   }
   // Reliable overlay: stamp a fresh seq + piggyback ack and buffer the copy
@@ -314,8 +348,8 @@ void Network::enqueue_async(NodeId from, NodeId to, const Message& msg) {
   Message stamped = msg;
   stamped.from = from;
   stamped.to = to;
-  reliable_->stamp_and_buffer(edge_id, stamped, round_);
-  file_async(from, to, edge_id, stamped);
+  reliable_->stamp_and_buffer(edge, stamped, round_);
+  file_async(from, to, edge, stamped);
 }
 
 void Network::file_async(NodeId from, NodeId to, std::size_t edge_id, const Message& msg) {
@@ -361,7 +395,6 @@ void Network::service_transport() {
   reliable_->collect_due(
       round_, [&](NodeId v) { return faults_->crashed(v, round_); }, transport_batch_);
   for (const Message& m : transport_batch_) {
-    const std::size_t edge_id = edge_offsets_[m.from] + graph_->neighbor_rank(m.from, m.to);
     if (m.rel_seq != 0) {
       metrics_.retransmits += 1;
       metrics_.bits += message_bits_for(m.words, bits_per_word_);
@@ -370,7 +403,7 @@ void Network::service_transport() {
       metrics_.bits += message_bits_for(0, bits_per_word_);
     }
     metrics_.messages += 1;
-    file_async(m.from, m.to, edge_id, m);
+    file_async(m.from, m.to, edge_id(m.from, m.to), m);
   }
 }
 
@@ -422,7 +455,7 @@ void Network::mature_async_messages() {
       // payloads never reach the protocol (no activation, no received
       // count); an in-order payload releases any buffered successors with
       // it, in seq order.
-      const std::size_t edge = edge_offsets_[m.from] + graph_->neighbor_rank(m.from, m.to);
+      const std::size_t edge = edge_id(m.from, m.to);
       switch (reliable_->on_arrival(edge, m, round_)) {
         case ReliableOverlay::Arrival::kAck:
           break;
@@ -541,7 +574,7 @@ void Network::deliver_and_build_active_set() {
     if (arena_budget_bytes_ != 0) inbox_arena_.reserve(outbox_.size());
     inbox_arena_.resize(outbox_.size());
   }
-  for (const Message& m : outbox_) inbox_arena_[inbox_cursor_[m.to]++] = m;
+  scatter_stable(outbox_, inbox_cursor_.data(), inbox_arena_.data());
   outbox_.clear();
 }
 
@@ -558,7 +591,7 @@ void Network::sample_and_trim_arenas() {
 
   // Budget enforcement is a pure capacity policy: reserved-but-idle slots
   // are released when they exceed the budget, contents are never touched.
-  const auto bytes_of = [](const std::vector<Message>& v) {
+  const auto bytes_of = [](const auto& v) {
     return v.capacity() * sizeof(Message);
   };
   std::size_t reserved = bytes_of(outbox_) + bytes_of(inbox_arena_);
@@ -602,6 +635,7 @@ void Network::step_active_set(Protocol& protocol) {
 void Network::step_sharded(Protocol& protocol) {
   if (pool_ == nullptr) {
     shard_state_.resize(shards_);
+    for (ShardState& sh : shard_state_) sh.budget.slots.resize(budget_.slots.size());
     // The shard *partition* is fixed by shards_; the pool merely executes
     // it, so worker count is capped by the hardware without affecting
     // results (a 1-lane pool steps the shards back to back, in order).

@@ -15,7 +15,10 @@
 // inbox() is a span over that slice.  Wake-ups live in a fixed-size bucket
 // wheel indexed by round (far-future wake-ups overflow into a small heap)
 // instead of a std::map.  Both arenas and all wheel buckets are reused
-// across rounds.
+// across rounds; the arenas sit on 2 MiB huge pages once they pass 2 MiB,
+// and the scatter prefetches its destination slots.  The per-edge capacity
+// check uses sender-local scratch indexed by neighbor rank (SendBudget),
+// valid because all of a node's sends in a round happen in its one call.
 //
 // Sharded rounds (DESIGN.md §5): with cfg.shards > 1, large rounds step the
 // id-sorted active set as contiguous shard slices on a persistent worker
@@ -75,12 +78,30 @@ struct SendEvent {
 
 namespace internal {
 
+/// Sender-local edge-capacity scratch.  All of a node's sends in a round
+/// happen inside its one begin()/step() call — Context is the only send API,
+/// on_quiescence() gets no Context, and the reliable overlay's retransmits
+/// and acks bypass commit_send — so "sends on this directed edge this round"
+/// equals "sends on this neighbor rank during the current call".  One slot
+/// per neighbor rank (sized by the graph's max degree), lazily reset by
+/// stamp: constructing a Context — once per begin()/step() call — bumps
+/// `stamp`, so a slot whose stamp is stale holds a previous call's count.
+struct SendBudget {
+  struct Slot {
+    std::uint64_t stamp = 0;
+    std::uint32_t load = 0;
+  };
+  std::vector<Slot> slots;
+  std::uint64_t stamp = 0;
+};
+
 /// Thread-local log of one shard's round: sends, wake-ups, observer events,
 /// and the shard's slice of the global counters.  Merged serially in shard
 /// order after the parallel section; cleared (capacity kept) every round.
 /// Cache-line aligned so neighboring shards' counters never share a line.
 struct alignas(64) ShardState {
-  std::vector<Message> outbox;
+  MessageArena outbox;
+  SendBudget budget;  // capacity scratch of the node this shard is stepping
   std::vector<std::pair<std::uint64_t, NodeId>> wakeups;  // (delay, node)
   std::vector<SendEvent> events;  // populated only when an observer is attached
   std::uint64_t messages = 0;
@@ -208,8 +229,9 @@ class Context {
 
  private:
   friend class Network;
-  Context(Network& net, NodeId self, internal::ShardState* shard)
-      : net_(net), self_(self), shard_(shard) {}
+  // One Context per begin()/step() call: opens a fresh capacity window in
+  // the stepping lane's SendBudget (the shard's, or the network's own).
+  Context(Network& net, NodeId self, internal::ShardState* shard);
   Network& net_;
   NodeId self_;
   internal::ShardState* shard_;  // nullptr on sequential rounds
@@ -341,13 +363,17 @@ class Network {
   /// Drops crashed nodes from the freshly built active set (serial pass).
   void filter_crashed_active();
 
+  /// Directed-edge id of from→to in the graph's CSR layout (must be an edge).
+  std::size_t edge_id(NodeId from, NodeId to) const {
+    return graph_->row_offsets()[from] + graph_->neighbor_rank(from, to);
+  }
+
   void send_from(ShardState* sh, NodeId from, NodeId to, const Message& msg);
   void send_ranked(ShardState* sh, NodeId from, std::size_t rank, const Message& msg);
-  void commit_send(ShardState* sh, NodeId from, NodeId to, std::size_t edge_id,
-                   const Message& msg);
+  void commit_send(ShardState* sh, NodeId from, NodeId to, std::size_t rank, const Message& msg);
   [[noreturn]] void throw_non_neighbor(NodeId from, NodeId to) const;
-  [[noreturn]] void throw_over_capacity(const std::vector<Message>& round_outbox, NodeId from,
-                                        NodeId to, const Message& msg) const;
+  [[noreturn]] void throw_over_capacity(const MessageArena& round_outbox, NodeId from, NodeId to,
+                                        const Message& msg) const;
   support::Rng& node_rng(NodeId v) { return rngs_[v]; }
 
   const graph::Graph* graph_;
@@ -363,8 +389,8 @@ class Network {
   // Message arenas (double-buffered): sends append to outbox_ (directly on
   // sequential rounds, via the shard merge on sharded ones); delivery
   // scatters it into inbox_arena_, one contiguous slice per receiving node.
-  std::vector<Message> outbox_;       // send order; size == messages in flight
-  std::vector<Message> inbox_arena_;  // this round's inboxes, grouped by node
+  MessageArena outbox_;       // send order; size == messages in flight
+  MessageArena inbox_arena_;  // this round's inboxes, grouped by node
   std::vector<std::uint32_t> inbox_count_;   // per node: messages pending next round
   std::vector<std::uint32_t> inbox_off_;     // per node: slice start in inbox_arena_
   std::vector<std::uint32_t> inbox_len_;     // per node: slice length this round
@@ -372,9 +398,7 @@ class Network {
   std::vector<NodeId> next_active_;          // first-touch receivers of outbox_
   std::uint64_t inbox_live_ = 0;             // messages scattered this round (logical)
 
-  std::vector<std::uint32_t> edge_load_;        // per directed edge, this round
-  std::vector<std::uint64_t> edge_load_round_;  // round tag for lazy reset
-  std::vector<std::size_t> edge_offsets_;       // node -> first directed-edge id
+  internal::SendBudget budget_;  // capacity scratch for sequential calls
 
   std::vector<NodeId> active_;          // nodes to step this round
   std::vector<std::uint8_t> has_mail_;  // dedup mail vs wake-up activation
@@ -426,8 +450,8 @@ class Network {
 // and no per-message allocation once the outbox has warmed up.  On sharded
 // rounds the append, the global counters, and the receiver-side bookkeeping
 // go to the shard log instead (one predictable branch); everything the send
-// touches directly — the edge budget row and node_messages_sent[from] — is
-// owned by the sending node and therefore by exactly one shard.
+// touches directly — the shard's own SendBudget and node_messages_sent[from]
+// — is owned by the sending node's lane and therefore by exactly one shard.
 // ---------------------------------------------------------------------------
 
 inline void Network::arm_wakeup(NodeId v, std::uint64_t delay) {
@@ -440,18 +464,27 @@ inline void Network::arm_wakeup(NodeId v, std::uint64_t delay) {
   }
 }
 
-inline void Network::commit_send(ShardState* sh, NodeId from, NodeId to,
-                                 std::size_t edge_id, const Message& msg) {
-  if (edge_load_round_[edge_id] != round_) {
-    edge_load_round_[edge_id] = round_;
-    edge_load_[edge_id] = 0;
-  }
-  if (++edge_load_[edge_id] > cfg_.edge_capacity && faults_ == nullptr) {
-    // The per-round capacity discipline is a synchronous-schedule invariant.
-    // Under async delivery a node may legally answer several delayed
-    // arrivals at once; excess sends serialize through the link's FIFO
-    // queue (enqueue_async) instead of faulting.
-    throw_over_capacity(sh == nullptr ? outbox_ : sh->outbox, from, to, msg);
+inline Context::Context(Network& net, NodeId self, internal::ShardState* shard)
+    : net_(net), self_(self), shard_(shard) {
+  ++(shard == nullptr ? net.budget_ : shard->budget).stamp;
+}
+
+inline void Network::commit_send(ShardState* sh, NodeId from, NodeId to, std::size_t rank,
+                                 const Message& msg) {
+  // The per-round capacity discipline is a synchronous-schedule invariant.
+  // Under async delivery a node may legally answer several delayed arrivals
+  // at once; excess sends serialize through the link's FIFO queue
+  // (enqueue_async) instead of faulting.
+  if (faults_ == nullptr) {
+    internal::SendBudget& budget = sh == nullptr ? budget_ : sh->budget;
+    internal::SendBudget::Slot& slot = budget.slots[rank];
+    if (slot.stamp != budget.stamp) {
+      slot.stamp = budget.stamp;
+      slot.load = 0;
+    }
+    if (++slot.load > cfg_.edge_capacity) {
+      throw_over_capacity(sh == nullptr ? outbox_ : sh->outbox, from, to, msg);
+    }
   }
   DHC_CHECK(msg.words <= kMaxWords, "message exceeds payload word limit");
 
@@ -491,14 +524,14 @@ inline void Network::commit_send(ShardState* sh, NodeId from, NodeId to,
 inline void Network::send_from(ShardState* sh, NodeId from, NodeId to, const Message& msg) {
   const std::size_t rank = graph_->neighbor_rank(from, to);
   if (rank == graph::Graph::kNoRank) throw_non_neighbor(from, to);
-  commit_send(sh, from, to, edge_offsets_[from] + rank, msg);
+  commit_send(sh, from, to, rank, msg);
 }
 
 inline void Network::send_ranked(ShardState* sh, NodeId from, std::size_t rank,
                                  const Message& msg) {
   const auto nb = graph_->neighbors(from);
   DHC_REQUIRE(rank < nb.size(), "send_to_rank: rank " << rank << " out of range for node " << from);
-  commit_send(sh, from, nb[rank], edge_offsets_[from] + rank, msg);
+  commit_send(sh, from, nb[rank], rank, msg);
 }
 
 inline std::uint64_t Context::round() const { return net_.round_; }

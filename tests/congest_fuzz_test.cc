@@ -307,5 +307,91 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeliveryFuzz,
                          ::testing::Combine(::testing::Range<std::uint64_t>(0, 10),
                                             ::testing::Values(1u, 2u, 4u, 8u)));
 
+// Prefetch-boundary cases for the stable scatter, which prefetches the slot
+// of the message 16 positions ahead (DESIGN.md §4): rounds whose outbox
+// holds 0, 1, 15, 16 and 17 messages run the empty scatter, the tail loop
+// alone, and every hand-off between the prefetching loop and the tail.  Each
+// node sends its share of `count` distinct directed edges of K_8, drawn from
+// the seed, in two consecutive rounds (cold, then reused arenas); with 8
+// receivers, several of one round's messages share a receiver, so the
+// prefetch's early cursor read lags the true slot too.  Inboxes must match
+// the reference order: senders ascending, each sender's sends in order.
+using OutboxSizeParam = std::tuple<std::size_t, std::uint64_t, std::uint32_t>;
+class DeliveryFuzzOutboxSize : public ::testing::TestWithParam<OutboxSizeParam> {};
+
+TEST_P(DeliveryFuzzOutboxSize, ScatterMatchesReferenceAroundPrefetchDistance) {
+  const auto [count, seed, shards] = GetParam();
+  const Graph g = graph::complete_graph(8);
+  struct Send {
+    NodeId from;
+    std::size_t rank;
+  };
+  std::vector<Send> plan;
+  for (NodeId v = 0; v < g.n(); ++v) {
+    for (std::size_t r = 0; r < g.degree(v); ++r) plan.push_back({v, r});
+  }
+  support::Rng rng(seed);
+  for (std::size_t i = plan.size() - 1; i > 0; --i) {
+    std::swap(plan[i], plan[rng.below(i + 1)]);
+  }
+  plan.resize(count);
+  std::stable_sort(plan.begin(), plan.end(),
+                   [](const Send& a, const Send& b) { return a.from < b.from; });
+
+  class PlanProtocol : public Protocol {
+   public:
+    PlanProtocol(const std::vector<Send>& plan, NodeId n) : plan_(plan), journal_(n) {}
+    void begin(Context& ctx) override { act(ctx); }
+    void step(Context& ctx) override {
+      std::ostringstream line;
+      line << "r" << ctx.round() << " v" << ctx.self() << ":";
+      for (const Message& m : ctx.inbox()) line << " (" << m.from << "," << m.data[0] << ")";
+      journal_.append(ctx.self(), ctx.round(), line.str());
+      if (ctx.round() == 1) act(ctx);
+    }
+    std::string log() const { return journal_.flatten(); }
+
+   private:
+    void act(Context& ctx) {
+      for (std::size_t i = 0; i < plan_.size(); ++i) {
+        if (plan_[i].from != ctx.self()) continue;
+        ctx.send_to_rank(plan_[i].rank,
+                         Message::make(1, {static_cast<std::int64_t>(i + 100 * ctx.round())}));
+      }
+      ctx.wake_in(1);
+    }
+    const std::vector<Send>& plan_;
+    testutil::PerNodeJournal journal_;
+  };
+
+  NetworkConfig cfg;
+  cfg.seed = seed;
+  cfg.shards = shards;
+  cfg.shard_grain = 1;
+  Network net(g, cfg);
+  PlanProtocol protocol(plan, g.n());
+  const Metrics metrics = net.run(protocol);
+
+  std::ostringstream expected;
+  for (const std::uint64_t round : {1u, 2u}) {
+    for (NodeId v = 0; v < g.n(); ++v) {
+      expected << "r" << round << " v" << v << ":";
+      for (std::size_t i = 0; i < plan.size(); ++i) {
+        if (g.neighbors(plan[i].from)[plan[i].rank] != v) continue;
+        expected << " (" << plan[i].from << "," << i + 100 * (round - 1) << ")";
+      }
+      expected << "\n";
+    }
+  }
+  EXPECT_EQ(protocol.log(), expected.str()) << "outbox size " << count << ", shards " << shards;
+  EXPECT_EQ(metrics.messages, 2 * count);
+  EXPECT_EQ(metrics.arena_bytes_peak, 2 * count * sizeof(Message));
+}
+
+INSTANTIATE_TEST_SUITE_P(PrefetchBoundary, DeliveryFuzzOutboxSize,
+                         ::testing::Combine(::testing::Values(0u, 1u, 15u, 16u, 17u),
+                                            ::testing::Range<std::uint64_t>(0, 4),
+                                            ::testing::Values(1u, 4u)));
+
 }  // namespace
 }  // namespace dhc::congest

@@ -78,6 +78,36 @@ TEST(Network, SendToNonNeighborThrows) {
   EXPECT_THROW(net.run(p), CongestViolation);
 }
 
+TEST(Network, NonNeighborDiagnosticNamesTheNode) {
+  const Graph g = graph::path_graph(3);
+  Network net(g, {});
+  LambdaProtocol p;
+  p.on_begin = [](Context& ctx) {
+    if (ctx.self() == 0) ctx.send(2, Message::make(1));
+  };
+  try {
+    net.run(p);
+    FAIL() << "expected CongestViolation";
+  } catch (const CongestViolation& e) {
+    EXPECT_STREQ(e.what(), "node 0 sent to non-neighbor 2 in round 0");
+  }
+}
+
+TEST(Network, UnsetDestinationDiagnosticNamesTheSentinel) {
+  const Graph g = graph::path_graph(3);
+  Network net(g, {});
+  LambdaProtocol p;
+  p.on_begin = [](Context& ctx) {
+    if (ctx.self() == 1) ctx.send(kNoNode, Message::make(1));
+  };
+  try {
+    net.run(p);
+    FAIL() << "expected CongestViolation";
+  } catch (const CongestViolation& e) {
+    EXPECT_STREQ(e.what(), "node 1 sent to kNoNode (unset destination) in round 0");
+  }
+}
+
 TEST(Network, EdgeCapacityEnforced) {
   const Graph g = graph::path_graph(2);
   Network net(g, {});
@@ -121,6 +151,52 @@ TEST(Network, OppositeDirectionsAreIndependentEdges) {
   p.on_step = [&](Context& ctx) { received += static_cast<int>(ctx.inbox().size()); };
   net.run(p);
   EXPECT_EQ(received, 2);
+}
+
+TEST(Network, BackToBackStepsOnTheSameRankDoNotShareABudget) {
+  // The capacity check keeps one scratch slot per neighbor rank, reused by
+  // every node the lane steps.  Consecutive nodes that fill the same rank to
+  // capacity must each start from an empty budget — in begin() and step()
+  // alike — while a node that overfills its own rank still throws.
+  const Graph g = graph::complete_graph(6);
+  NetworkConfig cfg;
+  cfg.edge_capacity = 2;
+  int received = 0;
+  const auto fill_rank0 = [](Context& ctx) {
+    ctx.send_to_rank(0, Message::make(1));
+    ctx.send_to_rank(0, Message::make(2));
+  };
+  {
+    Network net(g, cfg);
+    LambdaProtocol p;
+    p.on_begin = [&](Context& ctx) {
+      fill_rank0(ctx);
+      ctx.wake_in(1);
+    };
+    p.on_step = [&](Context& ctx) {
+      received += static_cast<int>(ctx.inbox().size());
+      if (ctx.round() == 1) fill_rank0(ctx);
+    };
+    EXPECT_NO_THROW(net.run(p));
+  }
+  EXPECT_EQ(received, 2 * 2 * 6);  // two full waves, every node twice per wave
+
+  Network net(g, cfg);
+  LambdaProtocol p;
+  p.on_begin = [](Context& ctx) { ctx.wake_in(1); };
+  p.on_step = [&](Context& ctx) {
+    fill_rank0(ctx);
+    if (ctx.self() == 4) ctx.send_to_rank(0, Message::make(3));  // third on one edge
+  };
+  try {
+    net.run(p);
+    FAIL() << "expected CongestViolation";
+  } catch (const CongestViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("edge (4→0) over capacity in round 1"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("queued tags: 1 2)"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Network, CapacityResetsEachRound) {

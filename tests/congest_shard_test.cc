@@ -218,5 +218,52 @@ TEST(ShardEngine, CapacityViolationDiagnosticIdenticalWhenSharded) {
   EXPECT_EQ(run_and_catch(4), seq);
 }
 
+TEST(ShardEngine, SenderLocalBudgetsAreIsolatedPerNodeAndShard) {
+  // Every node sends once on rank 0 in the same wide round, so each shard's
+  // capacity scratch sees the same rank from many nodes back to back; only
+  // the culprit — the last node, stepped in the last shard — double-sends.
+  // The sharded run must reject exactly that send, with the sequential
+  // run's diagnostic.
+  class RankZeroWave : public Protocol {
+   public:
+    explicit RankZeroWave(NodeId culprit) : culprit_(culprit) {}
+    void begin(Context& ctx) override { ctx.wake_in(1); }
+    void step(Context& ctx) override {
+      if (ctx.round() != 1) return;
+      ctx.send_to_rank(0, Message::make(1, {ctx.self()}));
+      if (ctx.self() == culprit_) ctx.send_to_rank(0, Message::make(2));
+    }
+
+   private:
+    NodeId culprit_;
+  };
+
+  support::Rng grng(11);
+  const Graph g = graph::gnp(40, 0.5, grng);
+  for (NodeId v = 0; v < g.n(); ++v) ASSERT_GT(g.degree(v), 0u);
+  auto run_and_catch = [&](std::uint32_t shards, NodeId culprit) -> std::string {
+    NetworkConfig cfg;
+    cfg.seed = 3;
+    cfg.shards = shards;
+    cfg.shard_grain = 1;
+    Network net(g, cfg);
+    RankZeroWave protocol(culprit);
+    try {
+      const Metrics m = net.run(protocol);
+      return "<no violation: " + std::to_string(m.messages) + " messages>";
+    } catch (const CongestViolation& e) {
+      return e.what();
+    }
+  };
+  const NodeId last = g.n() - 1;
+  const std::string seq = run_and_catch(1, last);
+  ASSERT_NE(seq.find("edge (" + std::to_string(last) + "→"), std::string::npos) << seq;
+  EXPECT_EQ(run_and_catch(4, last), seq);
+  // Without the culprit the same wave is legal at every shard count.
+  for (const std::uint32_t shards : kShardCounts) {
+    EXPECT_EQ(run_and_catch(shards, kNoNode), "<no violation: 40 messages>") << shards;
+  }
+}
+
 }  // namespace
 }  // namespace dhc::congest

@@ -127,19 +127,14 @@ class MessageObserver {
   }
 };
 
-struct NetworkConfig {
-  /// Messages allowed per directed edge per round (the paper's B; 1 is the
-  /// strict CONGEST setting used everywhere in libdhc).
-  std::uint32_t edge_capacity = 1;
-
-  /// Hard stop: abort the run after this many rounds (safety net; a run that
-  /// trips it reports hit_round_limit instead of looping forever).
-  std::uint64_t max_rounds = 50'000'000;
-
-  /// Seed from which all per-node RNG streams are derived.
-  std::uint64_t seed = 0;
-
-  /// Optional message tap (not owned; must outlive the run).
+/// The per-run hooks every solver hands to the engine: the one options
+/// struct that reaches a Network.  NetworkConfig and every solver config
+/// (core::DraConfig, Dhc1Config, Dhc2Config, TurauConfig, UpcastConfig)
+/// derive from it, so a solver forwards all of them with one base-slice
+/// assignment.
+struct EngineHooks {
+  /// Optional message tap, e.g. to re-price an execution under the
+  /// k-machine model (paper §IV; not owned; must outlive the run).
   MessageObserver* observer = nullptr;
 
   /// Shard count for intra-round parallelism.  0 resolves the DHC_SHARDS
@@ -147,10 +142,13 @@ struct NetworkConfig {
   /// stepper.  Results are bitwise identical for every value.
   std::uint32_t shards = 0;
 
-  /// Minimum active nodes *per shard* before a round is dispatched to the
-  /// pool; smaller rounds step sequentially (identical results, no dispatch
-  /// overhead).  0 resolves DHC_SHARD_GRAIN (absent/invalid → 32).
-  std::uint32_t shard_grain = 0;
+  /// Optional fault plan (not owned; must outlive the run).  nullptr — the
+  /// default — is the synchronous CONGEST model, bit-for-bit as before.
+  /// Non-null switches the engine to the async delivery regime (DESIGN.md
+  /// §8): sends are routed through the plan's drop/delay decisions into a
+  /// message delay wheel and delivered when their latency elapses; crashed
+  /// nodes neither step nor receive.
+  const FaultPlan* faults = nullptr;
 
   /// Optional flight-recorder sink fed one RoundTrace per executed round
   /// plus phase/barrier marks (not owned; must outlive the run).  Per-round
@@ -162,6 +160,24 @@ struct NetworkConfig {
   /// exact-vector mode every golden test pins; kStreaming trades exact
   /// per-node vectors for compact accumulators + quantile summaries.
   NodeStatsMode node_stats = NodeStatsMode::kFull;
+};
+
+struct NetworkConfig : EngineHooks {
+  /// Messages allowed per directed edge per round (the paper's B; 1 is the
+  /// strict CONGEST setting used everywhere in libdhc).
+  std::uint32_t edge_capacity = 1;
+
+  /// Hard stop: abort the run after this many rounds (safety net; a run that
+  /// trips it reports hit_round_limit instead of looping forever).
+  std::uint64_t max_rounds = 50'000'000;
+
+  /// Seed from which all per-node RNG streams are derived.
+  std::uint64_t seed = 0;
+
+  /// Minimum active nodes *per shard* before a round is dispatched to the
+  /// pool; smaller rounds step sequentially (identical results, no dispatch
+  /// overhead).  0 resolves DHC_SHARD_GRAIN (absent/invalid → 32).
+  std::uint32_t shard_grain = 0;
 
   /// Byte budget for the message arenas (outbox log, inbox arena, async
   /// delay wheel).  0 resolves DHC_ARENA_BUDGET (absent → unbounded).  When
@@ -173,13 +189,14 @@ struct NetworkConfig {
   /// which the budget never changes.
   std::uint64_t arena_budget_bytes = 0;
 
-  /// Optional fault plan (not owned; must outlive the run).  nullptr — the
-  /// default — is the synchronous CONGEST model, bit-for-bit as before.
-  /// Non-null switches the engine to the async delivery regime (DESIGN.md
-  /// §8): sends are routed through the plan's drop/delay decisions into a
-  /// message delay wheel and delivered when their latency elapses; crashed
-  /// nodes neither step nor receive.
-  const FaultPlan* faults = nullptr;
+  /// The engine settings a solver runs with: its hooks plus the seed, every
+  /// other field at its default.
+  static NetworkConfig from(const EngineHooks& hooks, std::uint64_t seed) {
+    NetworkConfig cfg;
+    static_cast<EngineHooks&>(cfg) = hooks;
+    cfg.seed = seed;
+    return cfg;
+  }
 };
 
 class Network;

@@ -568,14 +568,7 @@ Result run_dhc2(const graph::Graph& g, std::uint64_t seed, const Dhc2Config& cfg
     num_colors = std::max<std::uint32_t>(num_colors, 1);
   }
 
-  congest::NetworkConfig net_cfg;
-  net_cfg.seed = seed;
-  net_cfg.observer = cfg.observer;
-  net_cfg.shards = cfg.shards;
-  net_cfg.trace = cfg.trace;
-  net_cfg.node_stats = cfg.node_stats;
-  net_cfg.faults = cfg.faults;
-  congest::Network net(g, net_cfg);
+  congest::Network net(g, congest::NetworkConfig::from(cfg, seed));
   Dhc2Protocol protocol(n, num_colors, cfg);
   result.metrics = net.run(protocol);
 

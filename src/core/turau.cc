@@ -457,14 +457,7 @@ Result run_turau(const graph::Graph& g, std::uint64_t seed, const TurauConfig& c
     result.failure_reason = "graph has fewer than 3 nodes";
     return result;
   }
-  congest::NetworkConfig net_cfg;
-  net_cfg.seed = seed;
-  net_cfg.observer = cfg.observer;
-  net_cfg.shards = cfg.shards;
-  net_cfg.trace = cfg.trace;
-  net_cfg.node_stats = cfg.node_stats;
-  net_cfg.faults = cfg.faults;
-  congest::Network net(g, net_cfg);
+  congest::Network net(g, congest::NetworkConfig::from(cfg, seed));
   TurauProtocol protocol(g.n(), seed, cfg);
   result.metrics = net.run(protocol);
 

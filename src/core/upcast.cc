@@ -59,7 +59,7 @@ class UpcastProtocol : public congest::Protocol {
             route_entry(x, u) = msg.from;
             ctx.charge_memory(2);
           }
-          if (setup_.parent(x) == kNoNode) {
+          if (x == root()) {
             root_edges_.emplace_back(std::min(u, w), std::max(u, w));
             ctx.charge_memory(2);
           } else {
@@ -71,7 +71,7 @@ class UpcastProtocol : public congest::Protocol {
         return;
       }
       case Stage::kSolve: {
-        if (setup_.parent(x) == kNoNode) root_solve(ctx);
+        if (x == root()) root_solve(ctx);
         return;
       }
       case Stage::kDowncast: {
@@ -115,8 +115,7 @@ class UpcastProtocol : public congest::Protocol {
       case Stage::kUpcast: {
         stage_ = Stage::kSolve;
         net.mark_phase("solve");
-        // Wake the root (the global leader, node with min id = leader(0)).
-        net.wake(setup_.leader(0));
+        net.wake(root());
         return true;
       }
       case Stage::kSolve:
@@ -126,7 +125,7 @@ class UpcastProtocol : public congest::Protocol {
         }
         stage_ = Stage::kDowncast;
         net.mark_phase("downcast");
-        net.wake(setup_.leader(0));
+        net.wake(root());
         return true;
       case Stage::kDowncast:
         stage_ = Stage::kDone;
@@ -153,7 +152,7 @@ class UpcastProtocol : public congest::Protocol {
       chosen = ctx.rng().sample_distinct(nb.size(), k);
     }
     sampled_ += chosen.size();
-    if (setup_.parent(x) == kNoNode) {
+    if (x == root()) {
       for (const auto i : chosen) {
         const NodeId w = nb[static_cast<std::size_t>(i)];
         root_edges_.emplace_back(std::min(x, w), std::max(x, w));
@@ -237,6 +236,13 @@ class UpcastProtocol : public congest::Protocol {
 
   enum class Stage : std::uint8_t { kInit, kSetup, kUpcast, kSolve, kDowncast, kDone };
 
+  /// The one node that collects root_edges_: the global leader.  In a
+  /// disconnected graph every component has a parentless leader of its own;
+  /// their records can never reach the root and stay queued where they are,
+  /// so root_edges_ has a single writer even when shards step several
+  /// component leaders at once.
+  NodeId root() const { return setup_.leader(0); }
+
   /// route_[x·n + u] = the child of x on the path to origin u (kNoNode when
   /// unknown).  Flat n×n array, allocated lazily per node via route rows —
   /// see route_entry(); total footprint n²·4 bytes only if every node routes.
@@ -271,14 +277,7 @@ Result run_upcast(const graph::Graph& g, std::uint64_t seed, const UpcastConfig&
     result.failure_reason = "graph has fewer than 3 nodes";
     return result;
   }
-  congest::NetworkConfig net_cfg;
-  net_cfg.seed = seed;
-  net_cfg.observer = cfg.observer;
-  net_cfg.shards = cfg.shards;
-  net_cfg.trace = cfg.trace;
-  net_cfg.node_stats = cfg.node_stats;
-  net_cfg.faults = cfg.faults;
-  congest::Network net(g, net_cfg);
+  congest::Network net(g, congest::NetworkConfig::from(cfg, seed));
   UpcastProtocol protocol(g.n(), cfg);
   result.metrics = net.run(protocol);
 

@@ -76,20 +76,28 @@ std::uint64_t KMachineCost::kmachine_rounds() const {
 
 namespace {
 
-/// Shared shape of every adapter: copy the base config, let the backend
-/// control the observer, shard, and fault knobs, call the solver's entry
-/// point.
+/// Shared shape of every adapter: copy the base config, let the backend's
+/// observer, shard count and fault plan override the base hooks when set
+/// (non-null / nonzero), call the solver's entry point.
 template <class Config, class RunFn>
 CongestAlgorithm make_adapter(Config base, RunFn run) {
   return [base = std::move(base), run](const graph::Graph& g, std::uint64_t seed,
                                        congest::MessageObserver* observer,
                                        std::uint32_t shards, const congest::FaultPlan* faults) {
     Config cfg = base;
-    cfg.observer = observer;
-    cfg.shards = shards;
-    cfg.faults = faults;
+    if (observer != nullptr) cfg.observer = observer;
+    if (shards != 0) cfg.shards = shards;
+    if (faults != nullptr) cfg.faults = faults;
     return run(g, seed, cfg);
   };
+}
+
+/// A solver config with default algorithm parameters and `hooks` attached.
+template <class Config>
+Config with_hooks(const congest::EngineHooks& hooks) {
+  Config cfg;
+  static_cast<congest::EngineHooks&>(cfg) = hooks;
+  return cfg;
 }
 
 }  // namespace
@@ -114,14 +122,14 @@ CongestAlgorithm upcast_algorithm(core::UpcastConfig base) {
   return make_adapter(std::move(base), core::run_upcast);
 }
 
-CongestAlgorithm algorithm_by_name(const std::string& name) {
-  if (name == "dra") return dra_algorithm();
-  if (name == "dhc1") return dhc1_algorithm();
-  if (name == "dhc2") return dhc2_algorithm();
-  if (name == "turau") return turau_algorithm();
-  if (name == "upcast") return upcast_algorithm();
+CongestAlgorithm algorithm_by_name(const std::string& name, const congest::EngineHooks& hooks) {
+  if (name == "dra") return dra_algorithm(with_hooks<core::DraConfig>(hooks));
+  if (name == "dhc1") return dhc1_algorithm(with_hooks<core::Dhc1Config>(hooks));
+  if (name == "dhc2") return dhc2_algorithm(with_hooks<core::Dhc2Config>(hooks));
+  if (name == "turau") return turau_algorithm(with_hooks<core::TurauConfig>(hooks));
+  if (name == "upcast") return upcast_algorithm(with_hooks<core::UpcastConfig>(hooks));
   if (name == "collect-all" || name == "collectall") {
-    core::UpcastConfig cfg;
+    auto cfg = with_hooks<core::UpcastConfig>(hooks);
     cfg.collect_all = true;
     return upcast_algorithm(cfg);
   }
@@ -149,16 +157,6 @@ KMachineOutcome run_kmachine(const CongestAlgorithm& algo, const graph::Graph& g
   out.report.local_messages = cost.local_messages();
   out.report.busiest_link_peak = cost.busiest_link_peak();
   return out;
-}
-
-KMachineReport convert_dhc2(const graph::Graph& g, std::uint64_t seed, std::uint32_t k,
-                            std::uint64_t bandwidth, const core::Dhc2Config& base) {
-  KMachineConfig cfg;
-  cfg.k = k;
-  cfg.bandwidth = bandwidth;
-  cfg.partition_seed = seed;
-  cfg.shards = base.shards;
-  return run_kmachine(dhc2_algorithm(base), g, seed, cfg).report;
 }
 
 }  // namespace dhc::kmachine

@@ -20,7 +20,6 @@ std::string to_string(Algorithm a) {
     case Algorithm::kDhc2: return "dhc2";
     case Algorithm::kUpcast: return "upcast";
     case Algorithm::kCollectAll: return "collect-all";
-    case Algorithm::kDhc2KMachine: return "dhc2-kmachine";
     case Algorithm::kTurau: return "turau";
     case Algorithm::kCre: return "cre";
   }
@@ -57,12 +56,15 @@ Algorithm parse_algorithm(const std::string& s) {
   if (s == "dhc2") return Algorithm::kDhc2;
   if (s == "upcast") return Algorithm::kUpcast;
   if (s == "collect-all" || s == "collectall") return Algorithm::kCollectAll;
-  if (s == "dhc2-kmachine" || s == "kmachine") return Algorithm::kDhc2KMachine;
   if (s == "turau") return Algorithm::kTurau;
   if (s == "cre") return Algorithm::kCre;
   throw std::invalid_argument("unknown algorithm '" + s +
                               "' (expected sequential|dra|dhc1|dhc2|upcast|collect-all|"
-                              "dhc2-kmachine|turau|cre)");
+                              "turau|cre)");
+}
+
+bool has_congest_execution(Algorithm a) {
+  return a != Algorithm::kSequential && a != Algorithm::kCre;
 }
 
 ExecutionModel parse_execution_model(const std::string& s) {
@@ -113,7 +115,7 @@ void Scenario::validate() const {
   }
   if (model == ExecutionModel::kKMachine) {
     for (const Algorithm a : algos) {
-      DHC_REQUIRE(a != Algorithm::kSequential && a != Algorithm::kCre,
+      DHC_REQUIRE(has_congest_execution(a),
                   "the sequential baselines have no CONGEST execution to price "
                   "in the k-machine model");
     }
@@ -131,11 +133,8 @@ void Scenario::validate() const {
   }
   if (model == ExecutionModel::kAsync) {
     for (const Algorithm a : algos) {
-      DHC_REQUIRE(a != Algorithm::kSequential && a != Algorithm::kCre,
+      DHC_REQUIRE(has_congest_execution(a),
                   "the sequential baselines have no CONGEST execution to run asynchronously");
-      DHC_REQUIRE(a != Algorithm::kDhc2KMachine,
-                  "the legacy dhc2-kmachine algorithm forces the k-machine backend; "
-                  "combine algo dhc2 with model = async instead");
     }
   } else {
     const bool faults_requested = delay_dists != std::vector<std::string>{"none"} ||
@@ -167,10 +166,6 @@ std::uint64_t derive_seed(std::uint64_t base, std::initializer_list<std::uint64_
   return h | 1;
 }
 
-bool uses_merge_strategy(Algorithm a) {
-  return a == Algorithm::kDhc2 || a == Algorithm::kDhc2KMachine;
-}
-
 }  // namespace
 
 std::vector<TrialConfig> expand(const Scenario& s) {
@@ -190,23 +185,19 @@ std::vector<TrialConfig> expand(const Scenario& s) {
       core::MergeStrategy::kMinForward};
   static const std::vector<std::string> kNoFaultSpec = {"none"};
   static const std::vector<double> kNoDrop = {0.0};
+  const bool kmachine = s.model == ExecutionModel::kKMachine;
+  const bool async = s.model == ExecutionModel::kAsync;
+  const auto& machines = kmachine ? s.machines : kNoMachines;
+  // The fault axes iterate only under model = async (validate() already
+  // rejects non-default axes elsewhere), so non-async scenarios keep the
+  // exact loop structure — and therefore the exact cell numbering and
+  // seeds — they always had.
+  const auto& delay_axis = async ? s.delay_dists : kNoFaultSpec;
+  const auto& drop_axis = async ? s.drop_probs : kNoDrop;
+  const auto& crash_axis = async ? s.crash_schedules : kNoFaultSpec;
+  const auto& reliability_axis = async ? s.reliabilities : kNoFaultSpec;
   for (const Algorithm algo : s.algos) {
-    // The k-machine backend prices every algorithm when the scenario selects
-    // the model; the legacy kDhc2KMachine algorithm forces it for its own
-    // cells so old scenarios keep their meaning.
-    const bool kmachine =
-        s.model == ExecutionModel::kKMachine || algo == Algorithm::kDhc2KMachine;
-    const bool async = s.model == ExecutionModel::kAsync;
-    const auto& merges = uses_merge_strategy(algo) ? s.merges : kDefaultMerge;
-    const auto& machines = kmachine ? s.machines : kNoMachines;
-    // The fault axes iterate only under model = async (validate() already
-    // rejects non-default axes elsewhere), so non-async scenarios keep the
-    // exact loop structure — and therefore the exact cell numbering and
-    // seeds — they always had.
-    const auto& delay_axis = async ? s.delay_dists : kNoFaultSpec;
-    const auto& drop_axis = async ? s.drop_probs : kNoDrop;
-    const auto& crash_axis = async ? s.crash_schedules : kNoFaultSpec;
-    const auto& reliability_axis = async ? s.reliabilities : kNoFaultSpec;
+    const auto& merges = algo == Algorithm::kDhc2 ? s.merges : kDefaultMerge;
     for (const auto size : s.sizes) {
       for (const double delta : s.deltas) {
         for (const double c : s.cs) {
@@ -221,9 +212,7 @@ std::vector<TrialConfig> expand(const Scenario& s) {
                         tc.config_index = cell;
                         tc.trial_index = t;
                         tc.algo = algo;
-                        tc.model = kmachine ? ExecutionModel::kKMachine
-                                            : (async ? ExecutionModel::kAsync
-                                                     : ExecutionModel::kCongest);
+                        tc.model = s.model;
                         tc.family = s.family;
                         tc.n = static_cast<graph::NodeId>(size);
                         tc.delta = delta;

@@ -8,13 +8,9 @@
 
 #include "async/async.h"
 #include "congest/fault_plan.h"
-#include "core/dhc1.h"
 #include "core/dhc2.h"
-#include "core/dra.h"
 #include "core/sequential.h"
 #include "core/sequential_linear.h"
-#include "core/turau.h"
-#include "core/upcast.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "graph/hamiltonian.h"
@@ -115,149 +111,149 @@ void verify_incidence(TrialResult& out, const graph::Graph& g,
   }
 }
 
-// Maps a TrialConfig to the adapter that runs its CONGEST solver — the
-// single place scenario parameters are forwarded into solver configs,
-// shared by both execution models so a congest and a k-machine run of the
-// same cell can never drift apart.  kSequential is not a CONGEST
-// algorithm: returns null.
+// The adapter that runs a trial's CONGEST solver: the algorithm table
+// (kmachine::algorithm_by_name) with the runner's hooks attached.  Only
+// dhc2 takes per-trial algorithm parameters (delta, merge strategy).  All
+// three execution models share this adapter, so a congest, a k-machine and
+// an async run of the same cell can never drift apart.
 kmachine::CongestAlgorithm congest_algorithm_for(const TrialConfig& t,
-                                                 congest::TraceSink* trace,
-                                                 congest::NodeStatsMode node_stats) {
-  // The adapters overwrite only (observer, shards), so the flight-recorder
-  // sink and the node-stats mode ride in the base configs.
-  switch (t.algo) {
-    case Algorithm::kSequential:
-    case Algorithm::kCre:
-      return nullptr;
-    case Algorithm::kDra: {
-      core::DraConfig cfg;
-      cfg.trace = trace;
-      cfg.node_stats = node_stats;
-      return kmachine::dra_algorithm(cfg);
-    }
-    case Algorithm::kDhc1: {
-      core::Dhc1Config cfg;
-      cfg.trace = trace;
-      cfg.node_stats = node_stats;
-      return kmachine::dhc1_algorithm(cfg);
-    }
-    case Algorithm::kDhc2:
-    case Algorithm::kDhc2KMachine: {
-      core::Dhc2Config cfg;
-      cfg.delta = t.delta;
-      cfg.merge_strategy = t.merge;
-      cfg.trace = trace;
-      cfg.node_stats = node_stats;
-      return kmachine::dhc2_algorithm(cfg);
-    }
-    case Algorithm::kTurau: {
-      core::TurauConfig cfg;
-      cfg.trace = trace;
-      cfg.node_stats = node_stats;
-      return kmachine::turau_algorithm(cfg);
-    }
-    case Algorithm::kUpcast:
-    case Algorithm::kCollectAll: {
-      core::UpcastConfig cfg;
-      cfg.collect_all = t.algo == Algorithm::kCollectAll;
-      cfg.trace = trace;
-      cfg.node_stats = node_stats;
-      return kmachine::upcast_algorithm(cfg);
-    }
+                                                 const congest::EngineHooks& hooks) {
+  if (t.algo == Algorithm::kDhc2) {
+    core::Dhc2Config cfg;
+    static_cast<congest::EngineHooks&>(cfg) = hooks;
+    cfg.delta = t.delta;
+    cfg.merge_strategy = t.merge;
+    return kmachine::dhc2_algorithm(cfg);
   }
-  throw std::logic_error("unreachable algorithm");
+  return kmachine::algorithm_by_name(to_string(t.algo), hooks);
 }
 
-// Runs one trial through the k-machine execution backend (src/kmachine):
-// any CONGEST algorithm, a random vertex partition over t.machines machines
-// seeded from the trial's algo_seed, per-link bandwidth t.bandwidth.  The
-// headline `rounds` are the converted k-machine rounds; the raw CONGEST
-// rounds and the full pricing report land in stats.
-void run_kmachine_trial(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
-                        const TrialOptions& opt, trace::TraceRecorder* rec) {
-  const bool verify = opt.verify;
-  const kmachine::CongestAlgorithm algo = congest_algorithm_for(t, rec, opt.node_stats);
-  if (algo == nullptr) {
-    out.failure_reason =
-        "sequential has no CONGEST execution to price in the k-machine model";
-    return;
-  }
-
-  kmachine::KMachineConfig kcfg;
-  kcfg.k = t.machines;
-  kcfg.bandwidth = t.bandwidth;
-  kcfg.partition_seed = t.algo_seed;
-  kcfg.shards = opt.shards;
-  kcfg.trace = rec;
-  auto priced = kmachine::run_kmachine(algo, g, t.algo_seed, kcfg);
-  if (rec != nullptr) rec->finalize(priced.result.metrics);
-  fill_from_result(out, priced.result);
-  out.rounds = static_cast<double>(priced.report.kmachine_rounds);
-  out.stats["congest_rounds"] = static_cast<double>(priced.report.congest_rounds);
-  out.stats["kmachine_rounds"] = static_cast<double>(priced.report.kmachine_rounds);
-  out.stats["cross_messages"] = static_cast<double>(priced.report.cross_messages);
-  out.stats["local_messages"] = static_cast<double>(priced.report.local_messages);
-  out.stats["busiest_link_peak"] = static_cast<double>(priced.report.busiest_link_peak);
-  if (verify) verify_incidence(out, g, priced.result.cycle);
+// k-machine pricing (src/kmachine): the headline `rounds` are the converted
+// k-machine rounds; the raw CONGEST rounds and the pricing report land in
+// stats.
+void add_kmachine_stats(TrialResult& out, const kmachine::KMachineReport& report) {
+  out.rounds = static_cast<double>(report.kmachine_rounds);
+  out.stats["congest_rounds"] = static_cast<double>(report.congest_rounds);
+  out.stats["kmachine_rounds"] = static_cast<double>(report.kmachine_rounds);
+  out.stats["cross_messages"] = static_cast<double>(report.cross_messages);
+  out.stats["local_messages"] = static_cast<double>(report.local_messages);
+  out.stats["busiest_link_peak"] = static_cast<double>(report.busiest_link_peak);
 }
 
-// Runs one trial through the async execution backend (src/async): the same
-// CONGEST adapter, with seed-deterministic delivery delays / drops / crash
-// windows injected by the network.  Faulted runs may legitimately fail
-// (hit_round_limit, invalid cycle); the fault accounting lands in stats so
-// artifacts explain *why*.
-void run_async_trial(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
-                     const TrialOptions& opt, trace::TraceRecorder* rec) {
-  const kmachine::CongestAlgorithm algo = congest_algorithm_for(t, rec, opt.node_stats);
-  if (algo == nullptr) {
-    out.failure_reason = "sequential has no CONGEST execution to run under the async model";
-    return;
-  }
-
-  async::AsyncConfig acfg;
-  acfg.delay = congest::DelaySpec::parse(t.delay_dist);
-  acfg.drop_prob = t.drop_prob;
-  acfg.crash = congest::CrashSpec::parse(t.crash_schedule);
-  acfg.max_rounds = t.max_rounds;
-  acfg.shards = opt.shards;
-  acfg.reliability = congest::ReliabilitySpec::parse(t.reliability);
-  acfg.rto = t.rto.empty() ? congest::RtoSpec{} : congest::RtoSpec::parse(t.rto);
-  auto outcome = async::run_async(algo, g, t.algo_seed, acfg);
-  if (rec != nullptr) rec->finalize(outcome.result.metrics);
-  fill_from_result(out, outcome.result);
+// Async fault accounting (src/async): faulted runs may legitimately fail
+// (hit_round_limit, invalid cycle), so the stats explain *why*.
+void add_async_stats(TrialResult& out, const async::AsyncReport& report) {
   // A round-limit failure is ambiguous on its own: a quiescent network means
   // the protocol *stalled* (e.g. a lost message nobody re-sends), while
   // pending traffic means it was still *live* (delay-induced livelock).
   // Suffix the reason so sweeps can tell them apart without reading traces.
-  if (outcome.report.hit_round_limit) {
-    out.failure_reason += outcome.report.round_limit_live ? " (live)" : " (stalled)";
+  if (report.hit_round_limit) {
+    out.failure_reason += report.round_limit_live ? " (live)" : " (stalled)";
   }
-  out.stats["delayed_messages"] = static_cast<double>(outcome.report.delayed_messages);
-  out.stats["dropped_messages"] = static_cast<double>(outcome.report.dropped_messages);
-  out.stats["crash_dropped_messages"] =
-      static_cast<double>(outcome.report.crash_dropped_messages);
-  out.stats["crashed_steps"] = static_cast<double>(outcome.report.crashed_steps);
-  out.stats["crashed_nodes"] = static_cast<double>(outcome.report.crashed_nodes);
-  out.stats["crashed_rejoins"] = static_cast<double>(outcome.report.crashed_rejoins);
-  out.stats["retransmits"] = static_cast<double>(outcome.report.retransmits);
-  out.stats["dup_suppressed"] = static_cast<double>(outcome.report.dup_suppressed);
-  out.stats["acks_sent"] = static_cast<double>(outcome.report.acks_sent);
-  out.stats["payload_messages"] = static_cast<double>(outcome.report.payload_messages);
-  out.stats["hit_round_limit"] = outcome.report.hit_round_limit ? 1.0 : 0.0;
-  out.stats["round_limit_live"] = outcome.report.round_limit_live ? 1.0 : 0.0;
-  if (opt.verify) verify_incidence(out, g, outcome.result.cycle);
+  out.stats["delayed_messages"] = static_cast<double>(report.delayed_messages);
+  out.stats["dropped_messages"] = static_cast<double>(report.dropped_messages);
+  out.stats["crash_dropped_messages"] = static_cast<double>(report.crash_dropped_messages);
+  out.stats["crashed_steps"] = static_cast<double>(report.crashed_steps);
+  out.stats["crashed_nodes"] = static_cast<double>(report.crashed_nodes);
+  out.stats["crashed_rejoins"] = static_cast<double>(report.crashed_rejoins);
+  out.stats["retransmits"] = static_cast<double>(report.retransmits);
+  out.stats["dup_suppressed"] = static_cast<double>(report.dup_suppressed);
+  out.stats["acks_sent"] = static_cast<double>(report.acks_sent);
+  out.stats["payload_messages"] = static_cast<double>(report.payload_messages);
+  out.stats["hit_round_limit"] = report.hit_round_limit ? 1.0 : 0.0;
+  out.stats["round_limit_live"] = report.round_limit_live ? 1.0 : 0.0;
+}
+
+// Runs a CONGEST solver under the trial's execution model: plain CONGEST,
+// priced by the k-machine backend (a random vertex partition over
+// t.machines machines seeded from algo_seed, per-link bandwidth
+// t.bandwidth), or under the async backend's seed-deterministic delays,
+// drops and crash windows.
+void run_congest_trial(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
+                       const TrialOptions& opt, trace::TraceRecorder* rec) {
+  congest::EngineHooks hooks;
+  hooks.trace = rec;
+  hooks.node_stats = opt.node_stats;
+  const kmachine::CongestAlgorithm algo = congest_algorithm_for(t, hooks);
+
+  core::Result r;
+  kmachine::KMachineReport priced;
+  async::AsyncReport faulted;
+  switch (t.model) {
+    case ExecutionModel::kCongest:
+      r = algo(g, t.algo_seed, /*observer=*/nullptr, opt.shards, /*faults=*/nullptr);
+      break;
+    case ExecutionModel::kKMachine: {
+      kmachine::KMachineConfig kcfg;
+      kcfg.k = t.machines;
+      kcfg.bandwidth = t.bandwidth;
+      kcfg.partition_seed = t.algo_seed;
+      kcfg.shards = opt.shards;
+      kcfg.trace = rec;
+      auto outcome = kmachine::run_kmachine(algo, g, t.algo_seed, kcfg);
+      r = std::move(outcome.result);
+      priced = outcome.report;
+      break;
+    }
+    case ExecutionModel::kAsync: {
+      async::AsyncConfig acfg;
+      acfg.delay = congest::DelaySpec::parse(t.delay_dist);
+      acfg.drop_prob = t.drop_prob;
+      acfg.crash = congest::CrashSpec::parse(t.crash_schedule);
+      acfg.max_rounds = t.max_rounds;
+      acfg.shards = opt.shards;
+      acfg.reliability = congest::ReliabilitySpec::parse(t.reliability);
+      acfg.rto = t.rto.empty() ? congest::RtoSpec{} : congest::RtoSpec::parse(t.rto);
+      auto outcome = async::run_async(algo, g, t.algo_seed, acfg);
+      r = std::move(outcome.result);
+      faulted = outcome.report;
+      break;
+    }
+  }
+  if (rec != nullptr) rec->finalize(r.metrics);
+  fill_from_result(out, r);
+  if (t.model == ExecutionModel::kKMachine) add_kmachine_stats(out, priced);
+  if (t.model == ExecutionModel::kAsync) add_async_stats(out, faulted);
+  if (opt.verify) verify_incidence(out, g, r.cycle);
+}
+
+// The sequential oracles: rotation (kSequential) and the linear-space cre.
+// Same seed discipline, so a sequential cell pairs with any CONGEST cell
+// that shares (family, n, delta, c, t).
+void run_sequential_trial(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
+                          bool verify) {
+  const auto fill = [&](const auto& r) {
+    out.success = r.success;
+    out.failure_reason = r.failure_reason;
+    out.rounds = static_cast<double>(r.stats.steps);
+    out.stats["steps"] = static_cast<double>(r.stats.steps);
+    out.stats["extensions"] = static_cast<double>(r.stats.extensions);
+    out.stats["rotations"] = static_cast<double>(r.stats.rotations);
+    if (out.success && verify) {
+      const auto v = graph::verify_cycle_order(g, r.cycle);
+      if (!v.ok()) {
+        out.success = false;
+        out.failure_reason = "verifier: " + *v.failure;
+      }
+    }
+  };
+  support::Rng rng(t.algo_seed);
+  if (t.algo == Algorithm::kCre) {
+    const auto r = core::cre_hamiltonian_cycle(g, rng);
+    fill(r);
+    out.stats["resamples"] = static_cast<double>(r.stats.resamples);
+  } else {
+    fill(core::rotation_hamiltonian_cycle(g, rng));
+  }
 }
 
 TrialResult run_trial_unchecked(const TrialConfig& t, const TrialOptions& opt) {
-  const bool verify = opt.verify;
-  const std::uint32_t shards = opt.shards;
   TrialResult out;
   const graph::Graph g = make_trial_instance(t);
 
-  // Sequential trials have no network to tap; everything else records when a
-  // trace directory is set.
-  const bool tracing = !opt.trace_dir.empty() && t.algo != Algorithm::kSequential &&
-                       t.algo != Algorithm::kCre;
+  // The sequential oracles have no network to tap; everything else records
+  // when a trace directory is set.
+  const bool tracing = !opt.trace_dir.empty() && has_congest_execution(t.algo);
   trace::TraceRecorder recorder;
   trace::TraceRecorder* rec = tracing ? &recorder : nullptr;
   if (rec != nullptr) {
@@ -274,60 +270,20 @@ TrialResult run_trial_unchecked(const TrialConfig& t, const TrialOptions& opt) {
     meta.algo_seed = t.algo_seed;
     meta.machines = t.machines;
     meta.bandwidth = t.bandwidth;
-    meta.shards = shards != 0 ? shards : congest::default_shards();
+    meta.shards = opt.shards != 0 ? opt.shards : congest::default_shards();
     meta.node_stats = congest::to_string(opt.node_stats);
     meta.config_index = t.config_index;
     meta.trial_index = t.trial_index;
     recorder.set_meta(std::move(meta));
   }
 
-  if (t.model == ExecutionModel::kKMachine || t.algo == Algorithm::kDhc2KMachine) {
-    run_kmachine_trial(out, g, t, opt, rec);
-  } else if (t.model == ExecutionModel::kAsync) {
-    run_async_trial(out, g, t, opt, rec);
-  } else if (t.algo == Algorithm::kSequential) {
-    support::Rng rng(t.algo_seed);
-    const auto r = core::rotation_hamiltonian_cycle(g, rng);
-    out.success = r.success;
-    out.failure_reason = r.failure_reason;
-    out.rounds = static_cast<double>(r.stats.steps);
-    out.stats["steps"] = static_cast<double>(r.stats.steps);
-    out.stats["extensions"] = static_cast<double>(r.stats.extensions);
-    out.stats["rotations"] = static_cast<double>(r.stats.rotations);
-    if (out.success && verify) {
-      const auto v = graph::verify_cycle_order(g, r.cycle);
-      if (!v.ok()) {
-        out.success = false;
-        out.failure_reason = "verifier: " + *v.failure;
-      }
-    }
-  } else if (t.algo == Algorithm::kCre) {
-    // The linear-space oracle: same seed discipline as kSequential, so a cre
-    // cell pairs with any CONGEST cell that shares (family, n, delta, c, t).
-    support::Rng rng(t.algo_seed);
-    const auto r = core::cre_hamiltonian_cycle(g, rng);
-    out.success = r.success;
-    out.failure_reason = r.failure_reason;
-    out.rounds = static_cast<double>(r.stats.steps);
-    out.stats["steps"] = static_cast<double>(r.stats.steps);
-    out.stats["extensions"] = static_cast<double>(r.stats.extensions);
-    out.stats["rotations"] = static_cast<double>(r.stats.rotations);
-    out.stats["resamples"] = static_cast<double>(r.stats.resamples);
-    if (out.success && verify) {
-      const auto v = graph::verify_cycle_order(g, r.cycle);
-      if (!v.ok()) {
-        out.success = false;
-        out.failure_reason = "verifier: " + *v.failure;
-      }
-    }
+  if (has_congest_execution(t.algo)) {
+    run_congest_trial(out, g, t, opt, rec);
+  } else if (t.model == ExecutionModel::kCongest) {
+    run_sequential_trial(out, g, t, opt.verify);
   } else {
-    // Plain CONGEST execution, through the same adapter the k-machine path
-    // uses (no observer attached).
-    auto r = congest_algorithm_for(t, rec, opt.node_stats)(
-        g, t.algo_seed, /*observer=*/nullptr, shards, /*faults=*/nullptr);
-    if (rec != nullptr) rec->finalize(r.metrics);
-    fill_from_result(out, r);
-    if (verify) verify_incidence(out, g, r.cycle);
+    out.failure_reason = to_string(t.algo) + " has no CONGEST execution to run under model = " +
+                         to_string(t.model);
   }
 
   add_instance_stats(out, g, t);
@@ -346,13 +302,6 @@ TrialResult run_trial_unchecked(const TrialConfig& t, const TrialOptions& opt) {
 }
 
 }  // namespace
-
-TrialResult run_trial(const TrialConfig& t, bool verify, std::uint32_t shards) {
-  TrialOptions opt;
-  opt.verify = verify;
-  opt.shards = shards;
-  return run_trial(t, opt);
-}
 
 TrialResult run_trial(const TrialConfig& t, const TrialOptions& opt) {
   const auto start = std::chrono::steady_clock::now();

@@ -117,14 +117,10 @@ ResolvedParallelism resolve_parallelism(std::size_t trial_count, const RunnerOpt
 graph::Graph make_trial_instance(const TrialConfig& t);
 
 /// Generates the instance deterministically from `t` and runs its solver
-/// with `shards` simulator shards (0 = the DHC_SHARDS environment default;
-/// every value yields bitwise-identical results).  Failures (including
-/// thrown std::exception) are reported as unsuccessful results, never
-/// propagated.
-TrialResult run_trial(const TrialConfig& t, bool verify = true, std::uint32_t shards = 0);
-
-/// Same, with tracing and node-stats knobs.  A failure to write the trace
-/// file is a trial failure (reported, never thrown).
+/// with `opt.shards` simulator shards (0 = the DHC_SHARDS environment
+/// default; every value yields bitwise-identical results).  Failures
+/// (including thrown std::exception and a failure to write the trace file)
+/// are reported as unsuccessful results, never propagated.
 TrialResult run_trial(const TrialConfig& t, const TrialOptions& opt);
 
 /// Runs all trials on a worker pool and returns results in trial order.

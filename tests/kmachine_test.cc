@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "graph/generators.h"
@@ -12,6 +14,13 @@
 
 namespace dhc::kmachine {
 namespace {
+
+static_assert(std::is_base_of_v<congest::EngineHooks, congest::NetworkConfig>);
+static_assert(std::is_base_of_v<congest::EngineHooks, core::DraConfig>);
+static_assert(std::is_base_of_v<congest::EngineHooks, core::Dhc1Config>);
+static_assert(std::is_base_of_v<congest::EngineHooks, core::Dhc2Config>);
+static_assert(std::is_base_of_v<congest::EngineHooks, core::TurauConfig>);
+static_assert(std::is_base_of_v<congest::EngineHooks, core::UpcastConfig>);
 
 TEST(KMachineCost, PartitionCoversAllMachinesAndIsDeterministic) {
   KMachineCost a(1000, 8, 4, 42);
@@ -244,13 +253,19 @@ TEST(KMachineCost, BatchEventsMatchSingleSends) {
   EXPECT_EQ(a.busiest_link_peak(), b.busiest_link_peak());
 }
 
-TEST(ConvertDhc2, EndToEndAndMoreMachinesHelp) {
+TEST(RunKMachine, Dhc2EndToEndAndMoreMachinesHelp) {
   support::Rng rng(5);
   const auto g = graph::gnp(512, graph::edge_probability(512, 2.5, 0.5), rng);
   core::Dhc2Config cfg;
   cfg.delta = 0.5;
-  const auto r4 = convert_dhc2(g, 9, /*k=*/4, /*bandwidth=*/16, cfg);
-  const auto r16 = convert_dhc2(g, 9, /*k=*/16, /*bandwidth=*/16, cfg);
+  const auto priced = [&](std::uint32_t k) {
+    KMachineConfig kcfg;
+    kcfg.k = k;
+    kcfg.bandwidth = 16;
+    return run_kmachine(dhc2_algorithm(cfg), g, 9, kcfg).report;
+  };
+  const auto r4 = priced(4);
+  const auto r16 = priced(16);
   ASSERT_TRUE(r4.success);
   ASSERT_TRUE(r16.success);
   EXPECT_EQ(r4.congest_rounds, r16.congest_rounds);  // same underlying run
@@ -265,27 +280,6 @@ TEST(ConvertDhc2, EndToEndAndMoreMachinesHelp) {
 // ---------------------------------------------------------------------------
 // The execution backend: run_kmachine() over the registered algorithms.
 // ---------------------------------------------------------------------------
-
-TEST(RunKMachine, MatchesLegacyConvertDhc2) {
-  support::Rng rng(7);
-  const auto g = graph::gnp(192, graph::edge_probability(192, 2.5, 0.5), rng);
-  core::Dhc2Config base;
-  base.delta = 0.5;
-
-  const auto legacy = convert_dhc2(g, 13, /*k=*/8, /*bandwidth=*/8, base);
-
-  KMachineConfig cfg;
-  cfg.k = 8;
-  cfg.bandwidth = 8;
-  const auto backend = run_kmachine(dhc2_algorithm(base), g, 13, cfg).report;
-
-  EXPECT_EQ(backend.success, legacy.success);
-  EXPECT_EQ(backend.congest_rounds, legacy.congest_rounds);
-  EXPECT_EQ(backend.kmachine_rounds, legacy.kmachine_rounds);
-  EXPECT_EQ(backend.cross_messages, legacy.cross_messages);
-  EXPECT_EQ(backend.local_messages, legacy.local_messages);
-  EXPECT_EQ(backend.busiest_link_peak, legacy.busiest_link_peak);
-}
 
 TEST(RunKMachine, AlgorithmByNameKnowsTheRegistry) {
   for (const char* name : {"dra", "dhc1", "dhc2", "turau", "upcast", "collect-all"}) {
@@ -349,6 +343,55 @@ TEST(RunKMachine, ReportShardInvariantForEveryAlgorithm) {
     setenv("DHC_SHARD_GRAIN", old_grain, 1);
   }
 }
+
+// Hooks handed to the algorithm table reach the Network for every name: the
+// observer sees every send, the trace sink every executed round, and the
+// node-stats mode takes effect.
+class AlgorithmTableHooks : public ::testing::TestWithParam<std::string> {};
+
+struct CountingObserver : congest::MessageObserver {
+  void on_send(NodeId, NodeId, std::uint64_t) override { ++sends; }
+  std::uint64_t sends = 0;
+};
+
+struct CountingSink : congest::TraceSink {
+  void on_phase(const std::string&, std::uint64_t) override {}
+  void on_round(const congest::RoundTrace& t) override {
+    last_round = t.round;
+    sent += t.sent;
+  }
+  void on_barrier(std::uint64_t, std::uint64_t) override {}
+  std::uint64_t last_round = 0;
+  std::uint64_t sent = 0;
+};
+
+TEST_P(AlgorithmTableHooks, ReachTheNetwork) {
+  support::Rng rng(17);
+  const auto g = graph::gnp(128, graph::edge_probability(128, 2.5, 0.5), rng);
+  CountingObserver observer;
+  CountingSink sink;
+  congest::EngineHooks hooks;
+  hooks.observer = &observer;
+  hooks.trace = &sink;
+  hooks.node_stats = congest::NodeStatsMode::kStreaming;
+  const auto r = algorithm_by_name(GetParam(), hooks)(g, /*seed=*/3, nullptr, 0, nullptr);
+  EXPECT_GT(r.metrics.messages, 0u);
+  EXPECT_EQ(observer.sends, r.metrics.messages);
+  // Idle rounds are skipped, not traced: the sink sees the last round and
+  // every send.
+  EXPECT_EQ(sink.last_round, r.metrics.rounds);
+  EXPECT_EQ(sink.sent, r.metrics.messages);
+  EXPECT_EQ(r.metrics.node_stats_mode, congest::NodeStatsMode::kStreaming);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryName, AlgorithmTableHooks,
+                         ::testing::Values("dra", "dhc1", "dhc2", "turau", "upcast",
+                                           "collect-all"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           std::erase(name, '-');
+                           return name;
+                         });
 
 TEST(RunKMachine, MoreMachinesHelpBeyondDhc2) {
   support::Rng rng(3);

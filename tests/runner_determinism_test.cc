@@ -114,7 +114,8 @@ TEST(TrialRunner, ExceptionsBecomeFailedTrialsNotCrashes) {
 
 TEST(TrialRunner, KMachinePricingRunsAndScalesWithMachines) {
   Scenario s;
-  s.algos = {Algorithm::kDhc2KMachine};
+  s.algos = {Algorithm::kDhc2};
+  s.model = ExecutionModel::kKMachine;
   s.sizes = {64};
   s.deltas = {0.5};
   s.cs = {4.0};
@@ -194,7 +195,10 @@ TEST(ResolveParallelism, AutoPrefersTrialParallelismForManySmallTrials) {
   const unsigned hw = support::WorkerPool::hardware_lanes();
   const auto par = resolve_parallelism(/*trial_count=*/hw * 4, opt);
   EXPECT_EQ(par.shards, congest::default_shards());  // 1 without DHC_SHARDS
-  EXPECT_EQ(par.threads, hw);
+  // Each trial takes min(shards, hw) lanes of the budget; without
+  // DHC_SHARDS that is one lane, so every hardware lane runs a trial.
+  const unsigned lanes_per_trial = std::min<unsigned>(congest::default_shards(), hw);
+  EXPECT_EQ(par.threads, hw / lanes_per_trial);
 }
 
 TEST(ResolveParallelism, AutoShardsWhenTrialsCannotFillTheBudget) {

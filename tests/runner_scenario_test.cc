@@ -19,15 +19,28 @@ TEST(ParseAlgorithm, AcceptsAllSpellings) {
   EXPECT_EQ(parse_algorithm("dhc2"), Algorithm::kDhc2);
   EXPECT_EQ(parse_algorithm("upcast"), Algorithm::kUpcast);
   EXPECT_EQ(parse_algorithm("collect-all"), Algorithm::kCollectAll);
-  EXPECT_EQ(parse_algorithm("dhc2-kmachine"), Algorithm::kDhc2KMachine);
   EXPECT_EQ(parse_algorithm("turau"), Algorithm::kTurau);
+  EXPECT_EQ(parse_algorithm("cre"), Algorithm::kCre);
+}
+
+TEST(ParseAlgorithm, RejectsTheRetiredKMachineAliasListingValidNames) {
+  // k-machine pricing is the model axis (model = kmachine), not an algorithm.
+  for (const char* retired : {"dhc2-kmachine", "kmachine"}) {
+    try {
+      parse_algorithm(retired);
+      ADD_FAILURE() << retired << " still parses";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("sequential|dra|dhc1|dhc2|upcast|collect-all|turau|cre"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ParseAlgorithm, RoundTripsThroughToString) {
   for (const Algorithm a :
        {Algorithm::kSequential, Algorithm::kDra, Algorithm::kDhc1, Algorithm::kDhc2,
-        Algorithm::kUpcast, Algorithm::kCollectAll, Algorithm::kDhc2KMachine,
-        Algorithm::kTurau}) {
+        Algorithm::kUpcast, Algorithm::kCollectAll, Algorithm::kTurau, Algorithm::kCre}) {
     EXPECT_EQ(parse_algorithm(to_string(a)), a);
   }
 }
@@ -145,20 +158,25 @@ TEST(Expand, MergeStrategiesOnlyMultiplyDhc2Algorithms) {
   EXPECT_EQ(expand(s).size(), 2u);
 }
 
-TEST(Expand, MachinesOnlyMultiplyKMachineAlgorithm) {
+TEST(Expand, MachinesOnlyMultiplyKMachineModel) {
   Scenario s;
-  s.algos = {Algorithm::kDhc2, Algorithm::kDhc2KMachine};
+  s.algos = {Algorithm::kDhc2};
   s.machines = {4, 8, 16};
   s.seeds = 1;
+  // model = congest: the machine axis collapses to one cell.
+  const auto congest_trials = expand(s);
+  ASSERT_EQ(congest_trials.size(), 1u);
+  EXPECT_EQ(congest_trials[0].machines, 0u);
+  EXPECT_EQ(congest_trials[0].bandwidth, 0u);
+  EXPECT_EQ(congest_trials[0].model, ExecutionModel::kCongest);
+  // model = kmachine: one cell per machine count.
+  s.model = ExecutionModel::kKMachine;
   const auto trials = expand(s);
-  // dhc2: 1 cell; dhc2-kmachine: 3 cells.
-  EXPECT_EQ(trials.size(), 4u);
-  EXPECT_EQ(trials[0].machines, 0u);
-  EXPECT_EQ(trials[0].model, ExecutionModel::kCongest);
-  EXPECT_EQ(trials[1].machines, 4u);
-  EXPECT_EQ(trials[1].model, ExecutionModel::kKMachine);  // legacy spelling
-  EXPECT_EQ(trials[3].machines, 16u);
-  EXPECT_EQ(trials[3].bandwidth, static_cast<std::uint64_t>(s.bandwidth));
+  ASSERT_EQ(trials.size(), 3u);
+  EXPECT_EQ(trials[0].machines, 4u);
+  EXPECT_EQ(trials[0].model, ExecutionModel::kKMachine);
+  EXPECT_EQ(trials[2].machines, 16u);
+  EXPECT_EQ(trials[2].bandwidth, static_cast<std::uint64_t>(s.bandwidth));
 }
 
 TEST(Expand, KMachineModelSweepsMachinesForEveryAlgorithm) {

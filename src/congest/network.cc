@@ -9,6 +9,7 @@
 
 #include "congest/fault_plan.h"
 #include "congest/reliable.h"
+#include "support/huge_page_allocator.h"
 #include "support/quantile_sketch.h"
 #include "support/require.h"
 
@@ -260,6 +261,16 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg) : graph_(&g), cfg_(cf
         (faults_->drops_active() || faults_->crashes_active())) {
       reliable_ = std::make_unique<ReliableOverlay>(g, faults_->rto());
     }
+  } else if (arena_budget_bytes_ == 0) {
+    // A synchronous round carries at most edge_capacity messages per
+    // directed edge, so 2m × edge_capacity bounds both arenas.  Reserving it
+    // here costs only address space (pages fault in on first write) and
+    // spares the flood rounds the doubling copies; a solve that follows one
+    // on the same graph gets the same two sizes back from the allocator's
+    // spare mappings, already faulted in (DESIGN.md §4).
+    const std::size_t bound = g.adjacency().size() * cfg_.edge_capacity;
+    outbox_.reserve(bound);
+    inbox_arena_.reserve(bound);
   }
 
   const support::Rng base(cfg_.seed);
@@ -569,8 +580,9 @@ void Network::deliver_and_build_active_set() {
   // Stable scatter: outbox send order becomes per-node arrival order.
   inbox_live_ = outbox_.size();
   if (inbox_arena_.size() < outbox_.size()) {
-    // Budgeted runs reserve exactly what this round needs; unbudgeted runs
-    // keep vector growth (amortized doubling) for raw speed.
+    // Unbudgeted synchronous runs reserved the per-round bound up front, so
+    // this never reallocates; budgeted runs reserve exactly what this round
+    // needs; async runs keep amortized doubling.
     if (arena_budget_bytes_ != 0) inbox_arena_.reserve(outbox_.size());
     inbox_arena_.resize(outbox_.size());
   }
@@ -610,6 +622,9 @@ void Network::sample_and_trim_arenas() {
   for (ShardState& sh : shard_state_) {
     if (sh.outbox.empty()) sh.outbox.shrink_to_fit();
   }
+  // The trimmed mappings went to the allocator's spares; a budget means
+  // they go back to the kernel now.
+  support::release_huge_page_spares();
 }
 
 void Network::step_active_set(Protocol& protocol) {

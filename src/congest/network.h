@@ -15,10 +15,12 @@
 // inbox() is a span over that slice.  Wake-ups live in a fixed-size bucket
 // wheel indexed by round (far-future wake-ups overflow into a small heap)
 // instead of a std::map.  Both arenas and all wheel buckets are reused
-// across rounds; the arenas sit on 2 MiB huge pages once they pass 2 MiB,
-// and the scatter prefetches its destination slots.  The per-edge capacity
-// check uses sender-local scratch indexed by neighbor rank (SendBudget),
-// valid because all of a node's sends in a round happen in its one call.
+// across rounds; synchronous unbudgeted runs reserve both arenas to the
+// per-round bound (2m × edge_capacity messages) at construction, the arenas
+// sit on 2 MiB huge pages once they pass 2 MiB, and the scatter prefetches
+// its destination slots.  The per-edge capacity check uses sender-local
+// scratch indexed by neighbor rank (SendBudget), valid because all of a
+// node's sends in a round happen in its one call.
 //
 // Sharded rounds (DESIGN.md §5): with cfg.shards > 1, large rounds step the
 // id-sorted active set as contiguous shard slices on a persistent worker

@@ -10,16 +10,15 @@ namespace dhc::graph {
 
 namespace {
 
-// Edges are canonicalized into packed (u << 32) | v keys, whose numeric
-// order is exactly the lexicographic pair order.  Generators that emit
-// edges in scan order (G(n, p) geometric skipping, collected edge lists in
-// node order) pass the is_sorted check and skip sorting entirely; anything
-// else gets an LSD radix sort — for the multi-million-edge lists the dense
-// experiments build, that replaces the comparison sort that used to
-// dominate Graph construction.
+// Packs an edge as (a << 32) | b: numeric key order is lexicographic (a, b)
+// order.
+std::uint64_t pack(std::uint64_t a, std::uint64_t b) { return (a << 32) | b; }
+
+// LSD radix sort of packed (min, max) keys — for the multi-million-edge
+// lists the dense experiments build, it replaces the comparison sort that
+// used to dominate Graph construction.
 void sort_keys(std::vector<std::uint64_t>& keys, NodeId n) {
-  if (keys.empty() || std::is_sorted(keys.begin(), keys.end())) return;
-  // u occupies bits [32, 32 + bit_width(n-1)); v the low bits.
+  // The min occupies bits [32, 32 + bit_width(n-1)); the max the low bits.
   const std::uint32_t key_bits =
       32 + std::max<std::uint32_t>(1, std::bit_width(std::uint64_t{n - 1}));
   constexpr std::uint32_t kDigitBits = 16;
@@ -40,44 +39,70 @@ void sort_keys(std::vector<std::uint64_t>& keys, NodeId n) {
   }
 }
 
+// Fills the CSR from a duplicate-free edge list that is strictly increasing
+// in (min, max) or in (max, min) order; for_each_edge(f) calls f(u, v) per
+// edge, in list order.  Scattering such a list fills every row already
+// sorted, so there is no per-row sort pass: in (min, max) order node w's
+// lower neighbors arrive from (u, w) edges in increasing u, all before the
+// (w, x) edges that append its higher neighbors in increasing x; in
+// (max, min) order the (w, u) edges (u < w) come first in increasing u,
+// then the (x, w) edges (x > w) in increasing x.  graph_core_test pins
+// both orders against a reference adjacency built with std::set.
+template <class ForEachEdge>
+void fill_rows(NodeId n, ForEachEdge for_each_edge, std::vector<std::uint64_t>& offsets,
+               std::vector<NodeId>& adjacency) {
+  offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  for_each_edge([&](NodeId u, NodeId v) {
+    ++offsets[static_cast<std::size_t>(u) + 1];
+    ++offsets[static_cast<std::size_t>(v) + 1];
+  });
+  for (std::size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
+  adjacency.assign(offsets[n], 0);
+  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for_each_edge([&](NodeId u, NodeId v) {
+    adjacency[cursor[u]++] = v;
+    adjacency[cursor[v]++] = u;
+  });
+}
+
 }  // namespace
 
 Graph::Graph(NodeId n, const std::vector<Edge>& edges) : n_(n) {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(edges.size());
+  // Scan-order lists — G(n, p) geometric skipping emits (max, min) order,
+  // collected edge lists come in (min, max) order — go straight into the
+  // CSR.  Every key is nonzero (max >= 1), so 0 starts both comparisons.
+  bool min_major = true;
+  bool max_major = true;
+  std::uint64_t last_min_major = 0;
+  std::uint64_t last_max_major = 0;
   for (const auto& [u, v] : edges) {
     DHC_REQUIRE(u < n && v < n, "edge (" << u << "," << v << ") outside node range [0," << n << ")");
     DHC_REQUIRE(u != v, "self-loop at node " << u);
-    keys.push_back((std::uint64_t{std::min(u, v)} << 32) | std::max(u, v));
+    const std::uint64_t min_key = pack(std::min(u, v), std::max(u, v));
+    const std::uint64_t max_key = pack(std::max(u, v), std::min(u, v));
+    min_major = min_major && min_key > last_min_major;
+    max_major = max_major && max_key > last_max_major;
+    last_min_major = min_key;
+    last_max_major = max_key;
   }
+  if (min_major || max_major) {
+    fill_rows(
+        n, [&](auto&& f) { for (const auto& [u, v] : edges) f(u, v); }, offsets_, adjacency_);
+    return;
+  }
+
+  // Anything else is canonicalized, radix-sorted and deduplicated first.
+  std::vector<std::uint64_t> keys;
+  keys.reserve(edges.size());
+  for (const auto& [u, v] : edges) keys.push_back(pack(std::min(u, v), std::max(u, v)));
   sort_keys(keys, n);
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  std::vector<Edge> canonical;
-  canonical.reserve(keys.size());
-  for (const auto k : keys) {
-    canonical.emplace_back(static_cast<NodeId>(k >> 32), static_cast<NodeId>(k));
-  }
-
-  std::vector<std::uint64_t> degree(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [u, v] : canonical) {
-    ++degree[static_cast<std::size_t>(u) + 1];
-    ++degree[static_cast<std::size_t>(v) + 1];
-  }
-  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (std::size_t i = 1; i <= n; ++i) offsets_[i] = offsets_[i - 1] + degree[i];
-
-  adjacency_.assign(offsets_[n], 0);
-  std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  // Scattering the (u, v)-sorted canonical list fills every row in sorted
-  // order without a per-row sort pass: node w's lower neighbors arrive from
-  // edges (u, w) in increasing u, all of which precede every edge (w, x)
-  // (first component u < w), whose increasing-x order appends the higher
-  // neighbors.  graph_core_test pins this invariant against a reference
-  // adjacency built with std::set.
-  for (const auto& [u, v] : canonical) {
-    adjacency_[cursor[u]++] = v;
-    adjacency_[cursor[v]++] = u;
-  }
+  fill_rows(
+      n,
+      [&](auto&& f) {
+        for (const auto k : keys) f(static_cast<NodeId>(k >> 32), static_cast<NodeId>(k));
+      },
+      offsets_, adjacency_);
 }
 
 bool Graph::has_edge(NodeId u, NodeId v) const {

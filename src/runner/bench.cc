@@ -11,6 +11,8 @@
 #include <malloc.h>
 #endif
 
+#include "support/huge_page_allocator.h"
+
 namespace dhc::runner {
 
 namespace {
@@ -235,9 +237,11 @@ bool reset_rss_peak() {
 #if defined(__GLIBC__)
   // Freed-but-retained allocator pages from an earlier preset stay resident
   // and would dominate the reset high-water mark; hand them back first so
-  // the next preset's VmHWM reflects its own working set.
+  // the next preset's VmHWM reflects its own working set.  That includes
+  // the message arenas' spare huge mappings.
   malloc_trim(0);
 #endif
+  support::release_huge_page_spares();
   std::ofstream f("/proc/self/clear_refs");
   if (!f) return false;
   f << "5\n";

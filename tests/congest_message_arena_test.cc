@@ -2,11 +2,13 @@
 // (support/huge_page_allocator.h).  Requests below 2 MiB come from malloc,
 // larger ones from 2 MiB-aligned mappings, so these tests walk contents
 // across that boundary in both directions — growth, swap, shrink_to_fit,
-// clear-then-regrow — and pin the allocator's size classes directly.
+// clear-then-regrow — and pin the allocator's size classes and its reuse of
+// freed mappings directly.
 // Sanitizer builds run the same tests on the std::allocator fallback.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -153,6 +155,103 @@ TEST(HugePageAllocator, EverySizeClassIsUsableEndToEnd) {
     alloc.deallocate(p, bytes);
   }
 }
+
+#if DHC_HUGE_PAGE_ARENAS
+
+// Freed mappings stay behind as spares for a later request of the same
+// mapped size (DESIGN.md §4).  Other tests in this binary free mappings
+// too, so each case starts from an empty spare list.
+using support::detail::huge_page_spare_count;
+
+TEST(HugePageAllocator, FreedMappingIsReusedBySameSizeRequest) {
+  support::release_huge_page_spares();
+  support::HugePageAllocator<unsigned char> alloc;
+  unsigned char* p = alloc.allocate(3 * kHugePageBytes + 100);
+  p[0] = 0x5a;
+  alloc.deallocate(p, 3 * kHugePageBytes + 100);
+  EXPECT_EQ(huge_page_spare_count(), 1u);
+
+  // Small requests come from malloc and leave the spares alone.
+  unsigned char* small = alloc.allocate(64);
+  alloc.deallocate(small, 64);
+  EXPECT_EQ(huge_page_spare_count(), 1u);
+
+  // Both requests round up to four huge pages: the same mapping comes back.
+  unsigned char* q = alloc.allocate(4 * kHugePageBytes);
+  EXPECT_EQ(q, p);
+  EXPECT_EQ(huge_page_spare_count(), 0u);
+  q[4 * kHugePageBytes - 1] = 0xa5;
+  alloc.deallocate(q, 4 * kHugePageBytes);
+  support::release_huge_page_spares();
+}
+
+TEST(HugePageAllocator, OtherSizeRequestUnmapsTheSpares) {
+  support::release_huge_page_spares();
+  support::HugePageAllocator<unsigned char> alloc;
+  unsigned char* a = alloc.allocate(2 * kHugePageBytes);
+  unsigned char* b = alloc.allocate(2 * kHugePageBytes);
+  unsigned char* c = alloc.allocate(2 * kHugePageBytes);
+  alloc.deallocate(a, 2 * kHugePageBytes);
+  alloc.deallocate(b, 2 * kHugePageBytes);
+  alloc.deallocate(c, 2 * kHugePageBytes);
+  EXPECT_EQ(huge_page_spare_count(), support::kMaxSpareMappings);
+
+  unsigned char* other = alloc.allocate(5 * kHugePageBytes);
+  EXPECT_EQ(huge_page_spare_count(), 0u);
+  other[0] = 1;
+  other[5 * kHugePageBytes - 1] = 2;
+  EXPECT_EQ(other[0] + other[5 * kHugePageBytes - 1], 3);
+  alloc.deallocate(other, 5 * kHugePageBytes);
+  support::release_huge_page_spares();
+}
+
+TEST(HugePageAllocator, ReleaseEmptiesTheSpareList) {
+  support::HugePageAllocator<unsigned char> alloc;
+  unsigned char* a = alloc.allocate(kHugePageBytes);
+  unsigned char* b = alloc.allocate(kHugePageBytes);
+  alloc.deallocate(a, kHugePageBytes);
+  alloc.deallocate(b, kHugePageBytes);
+  EXPECT_GT(huge_page_spare_count(), 0u);
+  support::release_huge_page_spares();
+  EXPECT_EQ(huge_page_spare_count(), 0u);
+  support::release_huge_page_spares();  // idempotent
+  EXPECT_EQ(huge_page_spare_count(), 0u);
+}
+
+// TSan builds use the std::allocator fallback and never see the spare
+// list's lock, so this stress case is its only concurrent check: four
+// threads allocate, fill, verify and free mappings of three sizes, so
+// spares are handed out, replaced and unmapped under contention.
+TEST(HugePageAllocator, ConcurrentAllocateAndFreeKeepBlocksPrivate) {
+  support::release_huge_page_spares();
+  constexpr int kThreads = 4;
+  constexpr int kIterations = 200;
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &failures] {
+      support::HugePageAllocator<unsigned char> alloc;
+      for (int i = 0; i < kIterations; ++i) {
+        const std::size_t bytes = static_cast<std::size_t>(1 + (t + i) % 3) * kHugePageBytes;
+        unsigned char* p = alloc.allocate(bytes);
+        const auto mark = static_cast<unsigned char>(t * 64 + i % 64);
+        p[0] = mark;
+        p[bytes / 2] = mark;
+        p[bytes - 1] = mark;
+        std::this_thread::yield();
+        if (p[0] != mark || p[bytes / 2] != mark || p[bytes - 1] != mark) ++failures[t];
+        alloc.deallocate(p, bytes);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
+  EXPECT_LE(huge_page_spare_count(), support::kMaxSpareMappings);
+  support::release_huge_page_spares();
+  EXPECT_EQ(huge_page_spare_count(), 0u);
+}
+
+#endif  // DHC_HUGE_PAGE_ARENAS
 
 }  // namespace
 }  // namespace dhc::congest

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -192,6 +193,43 @@ TEST(GraphCsr, InvariantsOnGeneratorOutputs) {
   support::Rng rng2(7);
   const Graph r = random_regular(120, 6, rng2);
   expect_csr_invariants(r, r.edges());
+}
+
+// The constructor fills the CSR straight from lists that are strictly
+// increasing in (min, max) or (max, min) order and sorts everything else;
+// both paths must produce the same bytes.
+TEST(GraphCsr, ScanOrderAndUnsortedListsBuildIdenticalCsr) {
+  support::Rng rng(5);
+  const Graph base = gnp(300, 0.1, rng);
+  std::vector<Edge> min_major = base.edges();
+  ASSERT_GT(min_major.size(), 100u);
+  // gnp's own output order: (max, min) pairs, increasing.
+  std::vector<Edge> max_major;
+  for (const auto& [u, v] : min_major) max_major.emplace_back(v, u);
+  std::sort(max_major.begin(), max_major.end());
+  // The same edges shuffled, plus reversed pairs and exact duplicates.
+  std::vector<Edge> shuffled = min_major;
+  for (std::size_t i = 0; i < min_major.size(); i += 3) {
+    shuffled.emplace_back(min_major[i].second, min_major[i].first);
+  }
+  for (std::size_t i = 1; i < min_major.size(); i += 5) shuffled.push_back(min_major[i]);
+  rng.shuffle(std::span<Edge>(shuffled));
+  // (max, min) order with one adjacent duplicate: not strictly increasing,
+  // so it must still be deduplicated.
+  std::vector<Edge> adjacent_duplicate = max_major;
+  adjacent_duplicate.insert(adjacent_duplicate.begin() + 40, adjacent_duplicate[40]);
+
+  const auto base_offsets = base.row_offsets();
+  const auto base_adjacency = base.adjacency();
+  for (const std::vector<Edge>* edges : {&max_major, &min_major, &shuffled, &adjacent_duplicate}) {
+    const Graph g(base.n(), *edges);
+    expect_csr_invariants(g, *edges);
+    EXPECT_EQ(g.m(), base.m());
+    EXPECT_TRUE(std::equal(g.row_offsets().begin(), g.row_offsets().end(), base_offsets.begin(),
+                           base_offsets.end()));
+    EXPECT_TRUE(std::equal(g.adjacency().begin(), g.adjacency().end(), base_adjacency.begin(),
+                           base_adjacency.end()));
+  }
 }
 
 TEST(GraphCsr, NeighborRankMatchesHasEdge) {

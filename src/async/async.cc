@@ -15,7 +15,7 @@ std::uint64_t derive_fault_seed(std::uint64_t algo_seed) {
   return h;
 }
 
-AsyncOutcome run_async(const kmachine::CongestAlgorithm& algo, const graph::Graph& g,
+AsyncOutcome run_async(const core::CongestAlgorithm& algo, const graph::Graph& g,
                        std::uint64_t seed, const AsyncConfig& cfg) {
   DHC_REQUIRE(algo != nullptr, "run_async needs an algorithm");
   const std::uint64_t fault_seed =

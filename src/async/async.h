@@ -17,8 +17,9 @@
 // determinism argument in fault_plan.h and DESIGN.md §8).
 //
 // Mirrors the k-machine backend (kmachine/kmachine.h): run_async() drives a
-// kmachine::CongestAlgorithm adapter and returns the verified core::Result
-// plus a fault report.
+// core::CongestAlgorithm (kmachine::algorithm_by_name builds one per
+// registered solver) and returns the verified core::Result plus a fault
+// report.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,6 @@
 #include "congest/fault_plan.h"
 #include "core/result.h"
 #include "graph/graph.h"
-#include "kmachine/kmachine.h"
 
 namespace dhc::async {
 
@@ -88,7 +88,7 @@ std::uint64_t derive_fault_seed(std::uint64_t algo_seed);
 
 /// Runs `algo` on `g` under the configured fault plan and returns the
 /// outcome.  Throws std::invalid_argument on malformed fault parameters.
-AsyncOutcome run_async(const kmachine::CongestAlgorithm& algo, const graph::Graph& g,
+AsyncOutcome run_async(const core::CongestAlgorithm& algo, const graph::Graph& g,
                        std::uint64_t seed, const AsyncConfig& cfg);
 
 }  // namespace dhc::async

@@ -67,7 +67,7 @@ struct Metrics {
   /// per-round maximum of logical messages in flight (outbox log + inbox
   /// arena + async delay wheel/far map) × sizeof(Message).  Counts logical
   /// occupancy, never vector capacities, so it is bitwise identical across
-  /// shard counts and arena-budget settings.
+  /// shard counts.
   std::uint64_t arena_bytes_peak = 0;
 
   /// Async-model fault accounting (all zero on synchronous runs).  Note the

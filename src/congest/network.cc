@@ -9,7 +9,6 @@
 
 #include "congest/fault_plan.h"
 #include "congest/reliable.h"
-#include "support/huge_page_allocator.h"
 #include "support/quantile_sketch.h"
 #include "support/require.h"
 
@@ -27,17 +26,6 @@ std::uint32_t env_or(const char* name, std::uint32_t fallback) {
   const unsigned long parsed = std::strtoul(raw, &end, 10);
   if (end == raw || *end != '\0' || parsed == 0 || parsed > 1u << 20) return fallback;
   return static_cast<std::uint32_t>(parsed);
-}
-
-// Byte-count environment knob (DHC_ARENA_BUDGET): full u64 range, since
-// budgets are sized in hundreds of megabytes.  0/absent/garbage → fallback.
-std::uint64_t env_bytes_or(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || parsed == 0) return fallback;
-  return static_cast<std::uint64_t>(parsed);
 }
 
 // How many messages ahead the stable scatter prefetches its destination:
@@ -230,8 +218,6 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg) : graph_(&g), cfg_(cf
   DHC_REQUIRE(cfg_.edge_capacity >= 1, "edge_capacity must be at least 1");
   shards_ = cfg_.shards != 0 ? cfg_.shards : default_shards();
   shard_grain_ = cfg_.shard_grain != 0 ? cfg_.shard_grain : env_or("DHC_SHARD_GRAIN", 32);
-  arena_budget_bytes_ =
-      cfg_.arena_budget_bytes != 0 ? cfg_.arena_budget_bytes : env_bytes_or("DHC_ARENA_BUDGET", 0);
   node_stats_ = cfg_.node_stats;
   const std::size_t n = g.n();
   bits_per_word_ = std::max<std::uint64_t>(
@@ -261,7 +247,7 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg) : graph_(&g), cfg_(cf
         (faults_->drops_active() || faults_->crashes_active())) {
       reliable_ = std::make_unique<ReliableOverlay>(g, faults_->rto());
     }
-  } else if (arena_budget_bytes_ == 0) {
+  } else {
     // A synchronous round carries at most edge_capacity messages per
     // directed edge, so 2m × edge_capacity bounds both arenas.  Reserving it
     // here costs only address space (pages fault in on first write) and
@@ -580,17 +566,15 @@ void Network::deliver_and_build_active_set() {
   // Stable scatter: outbox send order becomes per-node arrival order.
   inbox_live_ = outbox_.size();
   if (inbox_arena_.size() < outbox_.size()) {
-    // Unbudgeted synchronous runs reserved the per-round bound up front, so
-    // this never reallocates; budgeted runs reserve exactly what this round
-    // needs; async runs keep amortized doubling.
-    if (arena_budget_bytes_ != 0) inbox_arena_.reserve(outbox_.size());
+    // Synchronous runs reserved the per-round bound up front, so this never
+    // reallocates; async runs keep amortized doubling.
     inbox_arena_.resize(outbox_.size());
   }
   scatter_stable(outbox_, inbox_cursor_.data(), inbox_arena_.data());
   outbox_.clear();
 }
 
-void Network::sample_and_trim_arenas() {
+void Network::sample_arena_peak() {
   // Logical in-flight messages at the round epilogue: sends queued for next
   // round (outbox log), this round's delivered inboxes, and everything
   // parked in the async delay structures.  Logical counts only — vector
@@ -599,32 +583,6 @@ void Network::sample_and_trim_arenas() {
       static_cast<std::uint64_t>(outbox_.size()) + inbox_live_ + delay_armed_ + far_msg_armed_;
   const std::uint64_t bytes = in_flight * sizeof(Message);
   if (bytes > metrics_.arena_bytes_peak) metrics_.arena_bytes_peak = bytes;
-  if (arena_budget_bytes_ == 0) return;
-
-  // Budget enforcement is a pure capacity policy: reserved-but-idle slots
-  // are released when they exceed the budget, contents are never touched.
-  const auto bytes_of = [](const auto& v) {
-    return v.capacity() * sizeof(Message);
-  };
-  std::size_t reserved = bytes_of(outbox_) + bytes_of(inbox_arena_);
-  for (const auto& b : delay_wheel_) reserved += bytes_of(b);
-  for (const ShardState& sh : shard_state_) reserved += bytes_of(sh.outbox);
-  if (reserved <= arena_budget_bytes_) return;
-
-  // The inbox arena was fully consumed by this round's steps; next round
-  // rebuilds it from the outbox, so its floor is the current outbox size.
-  inbox_arena_.resize(outbox_.size());
-  inbox_arena_.shrink_to_fit();
-  outbox_.shrink_to_fit();  // keeps contents, drops slack
-  for (auto& b : delay_wheel_) {
-    if (b.empty() && b.capacity() != 0) std::vector<Message>().swap(b);
-  }
-  for (ShardState& sh : shard_state_) {
-    if (sh.outbox.empty()) sh.outbox.shrink_to_fit();
-  }
-  // The trimmed mappings went to the allocator's spares; a budget means
-  // they go back to the kernel now.
-  support::release_huge_page_spares();
 }
 
 void Network::step_active_set(Protocol& protocol) {
@@ -874,7 +832,7 @@ Metrics Network::run(Protocol& protocol) {
       step_active_set(protocol);
     }
 
-    sample_and_trim_arenas();
+    sample_arena_peak();
 
     for (const NodeId v : active_) {
       inbox_len_[v] = 0;

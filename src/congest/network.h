@@ -15,7 +15,7 @@
 // inbox() is a span over that slice.  Wake-ups live in a fixed-size bucket
 // wheel indexed by round (far-future wake-ups overflow into a small heap)
 // instead of a std::map.  Both arenas and all wheel buckets are reused
-// across rounds; synchronous unbudgeted runs reserve both arenas to the
+// across rounds; synchronous runs reserve both arenas to the
 // per-round bound (2m × edge_capacity messages) at construction, the arenas
 // sit on 2 MiB huge pages once they pass 2 MiB, and the scatter prefetches
 // its destination slots.  The per-edge capacity check uses sender-local
@@ -181,16 +181,6 @@ struct NetworkConfig : EngineHooks {
   /// overhead).  0 resolves DHC_SHARD_GRAIN (absent/invalid → 32).
   std::uint32_t shard_grain = 0;
 
-  /// Byte budget for the message arenas (outbox log, inbox arena, async
-  /// delay wheel).  0 resolves DHC_ARENA_BUDGET (absent → unbounded).  When
-  /// bounded, arena growth reserves exactly what a round needs (no geometric
-  /// doubling past the budget) and capacities shrink back to the in-flight
-  /// footprint whenever the reserved bytes exceed the budget.  Purely a
-  /// capacity policy: every counter and result is bitwise identical for
-  /// every setting — Metrics::arena_bytes_peak reports logical occupancy,
-  /// which the budget never changes.
-  std::uint64_t arena_budget_bytes = 0;
-
   /// The engine settings a solver runs with: its hooks plus the seed, every
   /// other field at its default.
   static NetworkConfig from(const EngineHooks& hooks, std::uint64_t seed) {
@@ -342,11 +332,9 @@ class Network {
 
   void deliver_and_build_active_set();
   void step_active_set(Protocol& protocol);
-  /// Per-round footprint sample + budget enforcement (run() epilogue): max
-  /// logical in-flight bytes into metrics_.arena_bytes_peak, then — only
-  /// when a budget is set and exceeded by *reserved* capacity — shrink the
-  /// consumed arenas back to their in-flight footprint.
-  void sample_and_trim_arenas();
+  /// Per-round footprint sample (run() epilogue): max logical in-flight
+  /// bytes into metrics_.arena_bytes_peak.
+  void sample_arena_peak();
   void step_sharded(Protocol& protocol);
   void merge_shard_logs();
   void emit_round_trace(std::uint64_t sent, std::uint64_t bits, std::uint64_t wakeups,
@@ -403,7 +391,6 @@ class Network {
   std::uint64_t round_ = 0;
   Protocol* protocol_ = nullptr;
   std::uint64_t bits_per_word_ = 1;  // ⌈log₂ n⌉, hoisted out of the send path
-  std::uint64_t arena_budget_bytes_ = 0;  // resolved cfg/DHC_ARENA_BUDGET (0 = unbounded)
 
   // Message arenas (double-buffered): sends append to outbox_ (directly on
   // sequential rounds, via the shard merge on sharded ones); delivery

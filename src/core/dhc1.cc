@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "congest/setup.h"
 #include "support/require.h"
@@ -51,7 +50,7 @@ struct HyperLink {
 class Dhc1Protocol : public congest::Protocol {
  public:
   Dhc1Protocol(NodeId n, std::uint32_t num_colors, const Dhc1Config& cfg)
-      : n_(n), num_colors_(num_colors), cfg_(cfg), colors_(n, 0) {
+      : n_(n), cfg_(cfg), phase1_(n, num_colors, cfg.dra) {
     is_agent_.assign(n, 0);
     is_partner_.assign(n, 0);
     partner_of_.assign(n, kNoNode);
@@ -67,22 +66,14 @@ class Dhc1Protocol : public congest::Protocol {
     up_min_.assign(n, kNoHyper);
   }
 
-  void begin(Context& ctx) override {
-    colors_[ctx.self()] = static_cast<std::uint32_t>(ctx.rng().below(num_colors_));
-  }
+  void begin(Context& ctx) override { phase1_.begin(ctx); }
 
   // -- stage routing ---------------------------------------------------
 
   void step(Context& ctx) override {
     switch (stage_) {
-      case Stage::kGlobalSetup:
-        global_setup_->step(ctx);
-        return;
-      case Stage::kPartitionSetup:
-        partition_setup_->step(ctx);
-        return;
-      case Stage::kDra:
-        dra_->step(ctx);
+      case Stage::kPhase1:
+        phase1_.step(ctx);
         return;
       case Stage::kPickStage:
       case Stage::kAnnounceStage:
@@ -90,7 +81,6 @@ class Dhc1Protocol : public congest::Protocol {
       case Stage::kHyper:
         phase2_step(ctx);
         return;
-      case Stage::kInit:
       case Stage::kDone:
         return;
     }
@@ -103,44 +93,20 @@ class Dhc1Protocol : public congest::Protocol {
     // through shared protocol scalars (head_, hyper_steps_, hyper_done_,
     // the census results) as a simulator shortcut; those sparse rounds step
     // sequentially under every shard count.
-    return stage_ == Stage::kInit || stage_ == Stage::kGlobalSetup ||
-           stage_ == Stage::kPartitionSetup || stage_ == Stage::kDra;
+    return stage_ == Stage::kPhase1;
   }
 
   bool on_quiescence(Network& net) override {
     switch (stage_) {
-      case Stage::kInit:
-        global_setup_.emplace(n_, /*base_tag=*/1);
-        net.mark_phase("global_setup");
-        stage_ = Stage::kGlobalSetup;
-        global_setup_->advance(net);
-        return true;
-      case Stage::kGlobalSetup:
-        global_setup_->advance(net);
-        if (global_setup_->done()) {
-          net.set_barrier_cost(2ULL * global_setup_->tree_depth(0) + 2);
-          partition_setup_.emplace(n_, /*base_tag=*/8, colors_);
-          net.mark_phase("partition_setup");
-          stage_ = Stage::kPartitionSetup;
-          partition_setup_->advance(net);
-        }
-        return true;
-      case Stage::kPartitionSetup:
-        partition_setup_->advance(net);
-        if (partition_setup_->done()) {
-          dra_.emplace(n_, /*base_tag=*/16, &*partition_setup_, cfg_.dra);
-          net.mark_phase("dra");
-          stage_ = Stage::kDra;
-          dra_->start(net);
-        }
-        return true;
-      case Stage::kDra:
-        if (!dra_->all_succeeded()) {
-          failure_ = "Phase 1 failed: " + std::to_string(dra_->aborted_groups()) +
-                     " partition(s) aborted";
+      case Stage::kPhase1:
+        if (phase1_.advance(net)) return true;
+        if (!phase1_.failure().empty()) {
           stage_ = Stage::kDone;
           return false;
         }
+        partition_setup_ = phase1_.partition_setup();
+        global_setup_ = phase1_.global_setup();
+        dra_ = phase1_.dra();
         net.mark_phase("hyper");
         stage_ = Stage::kPickStage;
         // Leaders draw the hypernode position.
@@ -189,7 +155,7 @@ class Dhc1Protocol : public congest::Protocol {
     } else if (stage_ == Stage::kAnnounceStage && stage_seen_[x] != 2) {
       stage_seen_[x] = 2;
       if (is_agent_[x] != 0 || is_partner_[x] != 0) {
-        const Message msg = Message::make(kAnnounce, {colors_[x]});
+        const Message msg = Message::make(kAnnounce, {color(x)});
         const std::size_t degree = ctx.degree();
         for (std::size_t i = 0; i < degree; ++i) ctx.send_to_rank(i, msg);
       }
@@ -215,19 +181,19 @@ class Dhc1Protocol : public congest::Protocol {
     }
 
     // A hyper head woken by its settle timer acts now.
-    if (stage_ == Stage::kHyper && is_agent_[x] != 0 && hyper_done_ == 0 && head_ == colors_[x] &&
+    if (stage_ == Stage::kHyper && is_agent_[x] != 0 && hyper_done_ == 0 && head_ == color(x) &&
         ctx.inbox().empty() && hypindex_[x] != 0 && !succ_link_[x].valid()) {
       fire(ctx);
     }
     // The first head bootstraps when woken after the census.
     if (stage_ == Stage::kHyper && is_agent_[x] != 0 && hyper_done_ == 0 && hypindex_[x] == 0 &&
-        ctx.inbox().empty() && colors_[x] == first_group_ && head_ == kNoHyper) {
+        ctx.inbox().empty() && color(x) == first_group_ && head_ == kNoHyper) {
       if (k_live_ < 3) {
         hyper_abort(ctx);
         return;
       }
       hypindex_[x] = 1;
-      head_ = colors_[x];
+      head_ = color(x);
       fire(ctx);
     }
   }
@@ -252,7 +218,7 @@ class Dhc1Protocol : public congest::Protocol {
     const NodeId x = ctx.self();
     if (up_reports_[x] != global_setup_->children(x).size()) return;
     const std::uint32_t count = up_count_[x] + (is_agent_[x] != 0 ? 1 : 0);
-    const std::uint32_t mine = (is_agent_[x] != 0) ? colors_[x] : kNoHyper;
+    const std::uint32_t mine = (is_agent_[x] != 0) ? color(x) : kNoHyper;
     const std::uint32_t min_group = std::min(up_min_[x], mine);
     up_reports_[x] = static_cast<std::uint32_t>(-1);  // sent
     if (global_setup_->parent(x) != kNoNode) {
@@ -280,7 +246,7 @@ class Dhc1Protocol : public congest::Protocol {
       }
       case kAnnounce: {
         const auto hyper = static_cast<std::uint32_t>(msg.data[0]);
-        if ((is_agent_[x] != 0 || is_partner_[x] != 0) && hyper != colors_[x]) {
+        if ((is_agent_[x] != 0 || is_partner_[x] != 0) && hyper != color(x)) {
           port_unused_[x].push_back({msg.from, hyper});
           port_all_[x].push_back({msg.from, hyper});
           ctx.charge_memory(4);
@@ -447,7 +413,7 @@ class Dhc1Protocol : public congest::Protocol {
     list.pop_back();
     ctx.charge_memory(-2);
     ctx.send(edge.node,
-             Message::make(kHProgress, {pos, static_cast<std::int64_t>(steps), colors_[x]}));
+             Message::make(kHProgress, {pos, static_cast<std::int64_t>(steps), color(x)}));
     const Message fired =
         Message::make(kFired, {edge.hyper, edge.node});
     if (agent == x) {
@@ -476,7 +442,7 @@ class Dhc1Protocol : public congest::Protocol {
       hypindex_[x] = pos + 1;
       pred_link_[x] = {from_hyper, y, x_node};
       succ_link_[x] = {};
-      head_ = colors_[x];
+      head_ = color(x);
       hyper_steps_ = steps;
       ++extensions_;
       fire(ctx);
@@ -526,10 +492,10 @@ class Dhc1Protocol : public congest::Protocol {
     if (i <= j || i > h) return;
     hypindex_[x] = h + j + 1 - i;
     std::swap(pred_link_[x], succ_link_[x]);
-    if (head_hyper == colors_[x]) pred_link_[x] = pend_link_[x];
+    if (head_hyper == color(x)) pred_link_[x] = pend_link_[x];
     if (hypindex_[x] == h) {
       succ_link_[x] = {};
-      head_ = colors_[x];
+      head_ = color(x);
       hyper_steps_ = seq;
       ctx.wake_in(2ULL * global_setup_->tree_depth(x) + 2);
     }
@@ -569,7 +535,7 @@ class Dhc1Protocol : public congest::Protocol {
       hyper_attempt_ += 1;
     }
     // The first hypernode's agent re-bootstraps once the broadcast settles.
-    if (is_agent_[x] != 0 && colors_[x] == first_group_) {
+    if (is_agent_[x] != 0 && color(x) == first_group_) {
       ctx.wake_in(2ULL * global_setup_->tree_depth(x) + 2);
     }
   }
@@ -614,27 +580,24 @@ class Dhc1Protocol : public congest::Protocol {
     return inc;
   }
 
-  enum class Stage {
-    kInit,
-    kGlobalSetup,
-    kPartitionSetup,
-    kDra,
-    kPickStage,
-    kAnnounceStage,
-    kCensus,
-    kHyper,
-    kDone
-  };
+  std::uint32_t color(NodeId v) const { return phase1_.color(v); }
+
+  /// "" on success; otherwise why Phase 1 or Phase 2 failed.
+  std::string failure() const {
+    if (!phase1_.failure().empty()) return phase1_.failure();
+    return hyper_done_ == 1 ? "" : "Phase 2 failed: hypernode rotation aborted";
+  }
+
+  enum class Stage { kPhase1, kPickStage, kAnnounceStage, kCensus, kHyper, kDone };
 
   NodeId n_;
-  std::uint32_t num_colors_;
   Dhc1Config cfg_;
-  std::vector<std::uint32_t> colors_;
-  Stage stage_ = Stage::kInit;
-  std::string failure_;
-  std::optional<congest::SetupComponent> global_setup_;
-  std::optional<congest::SetupComponent> partition_setup_;
-  std::optional<DraComponent> dra_;
+  Phase1Component phase1_;
+  Stage stage_ = Stage::kPhase1;
+  // Phase 1's results, read by Phase 2 (set once Phase 1 succeeded).
+  const congest::SetupComponent* global_setup_ = nullptr;
+  const congest::SetupComponent* partition_setup_ = nullptr;
+  const DraComponent* dra_ = nullptr;
 
   // Phase-2 per-node state.
   std::vector<std::uint8_t> stage_seen_ = std::vector<std::uint8_t>(n_, 0);
@@ -703,33 +666,13 @@ Result run_dhc1(const graph::Graph& g, std::uint64_t seed, const Dhc1Config& cfg
   result.stats["hyper_extensions"] = static_cast<double>(protocol.extensions_);
   result.stats["wrong_port_rejects"] = static_cast<double>(protocol.wrong_port_rejects_);
   result.stats["hyper_restarts"] = static_cast<double>(protocol.hyper_restarts_);
-  result.stats["dra_restarts"] =
-      protocol.dra_ ? static_cast<double>(protocol.dra_->restarts()) : 0.0;
-  if (protocol.global_setup_) {
-    result.stats["global_tree_depth"] =
-        static_cast<double>(protocol.global_setup_->tree_depth(0));
+  const DraComponent* dra = protocol.phase1_.dra();
+  result.stats["dra_restarts"] = dra ? static_cast<double>(dra->restarts()) : 0.0;
+  if (const auto* global = protocol.phase1_.global_setup()) {
+    result.stats["global_tree_depth"] = static_cast<double>(global->tree_depth(0));
   }
 
-  if (result.metrics.hit_round_limit) {
-    result.failure_reason = "round limit exceeded";
-    return result;
-  }
-  if (!protocol.failure_.empty()) {
-    result.failure_reason = protocol.failure_;
-    return result;
-  }
-  if (protocol.hyper_done_ != 1) {
-    result.failure_reason = "Phase 2 failed: hypernode rotation aborted";
-    return result;
-  }
-
-  result.cycle = protocol.final_incidence();
-  const auto verdict = graph::verify_cycle_incidence(g, result.cycle);
-  if (!verdict.ok()) {
-    result.failure_reason = "final cycle invalid: " + *verdict.failure;
-    return result;
-  }
-  result.success = true;
+  finish_result(result, g, protocol.failure(), [&] { return protocol.final_incidence(); });
   return result;
 }
 

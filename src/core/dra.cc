@@ -321,6 +321,77 @@ graph::CycleIncidence DraComponent::incidence() const {
 }
 
 // ---------------------------------------------------------------------------
+// Phase 1 of DHC1/DHC2
+// ---------------------------------------------------------------------------
+
+Phase1Component::Phase1Component(NodeId n, std::uint32_t num_colors, DraParams cfg)
+    : n_(n), num_colors_(num_colors), cfg_(cfg), colors_(n, 0) {}
+
+void Phase1Component::begin(Context& ctx) {
+  // Paper Alg. 2 line 6: every node draws a uniform random color.
+  colors_[ctx.self()] = static_cast<std::uint32_t>(ctx.rng().below(num_colors_));
+}
+
+void Phase1Component::step(Context& ctx) {
+  switch (stage_) {
+    case Stage::kGlobalSetup:
+      global_setup_->step(ctx);
+      return;
+    case Stage::kPartitionSetup:
+      partition_setup_->step(ctx);
+      return;
+    case Stage::kDra:
+      dra_->step(ctx);
+      return;
+    case Stage::kInit:
+    case Stage::kDone:
+      return;
+  }
+}
+
+bool Phase1Component::advance(Network& net) {
+  switch (stage_) {
+    case Stage::kInit:
+      global_setup_.emplace(n_, /*base_tag=*/1);
+      net.mark_phase("global_setup");
+      stage_ = Stage::kGlobalSetup;
+      global_setup_->advance(net);
+      return true;
+    case Stage::kGlobalSetup:
+      global_setup_->advance(net);
+      if (global_setup_->done()) {
+        // The global BFS tree prices the phase barriers (termination
+        // detection = convergecast + broadcast over it).
+        net.set_barrier_cost(2ULL * global_setup_->tree_depth(0) + 2);
+        partition_setup_.emplace(n_, /*base_tag=*/8, colors_);
+        net.mark_phase("partition_setup");
+        stage_ = Stage::kPartitionSetup;
+        partition_setup_->advance(net);
+      }
+      return true;
+    case Stage::kPartitionSetup:
+      partition_setup_->advance(net);
+      if (partition_setup_->done()) {
+        dra_.emplace(n_, /*base_tag=*/16, &*partition_setup_, cfg_);
+        net.mark_phase("dra");
+        stage_ = Stage::kDra;
+        dra_->start(net);
+      }
+      return true;
+    case Stage::kDra:
+      if (!dra_->all_succeeded()) {
+        failure_ = "Phase 1 failed: " + std::to_string(dra_->aborted_groups()) +
+                   " partition(s) aborted";
+      }
+      stage_ = Stage::kDone;
+      return false;
+    case Stage::kDone:
+      return false;
+  }
+  return false;
+}
+
+// ---------------------------------------------------------------------------
 // Standalone runner
 // ---------------------------------------------------------------------------
 
@@ -376,16 +447,11 @@ Result run_dra(const graph::Graph& g, std::uint64_t seed, const DraConfig& cfg) 
   result.stats["restarts"] = static_cast<double>(protocol.dra.restarts());
   result.stats["tree_depth"] = static_cast<double>(protocol.setup.tree_depth(0));
 
-  if (result.metrics.hit_round_limit) {
-    result.failure_reason = "round limit exceeded";
-    return result;
-  }
-  if (!protocol.dra.all_succeeded()) {
-    result.failure_reason = "rotation head aborted (starved or budget exhausted)";
-    return result;
-  }
-  result.success = true;
-  result.cycle = protocol.dra.incidence();
+  finish_result(result, g,
+                protocol.dra.all_succeeded()
+                    ? ""
+                    : "rotation head aborted (starved or budget exhausted)",
+                [&] { return protocol.dra.incidence(); });
   return result;
 }
 

@@ -17,13 +17,16 @@
 // reported, never hung.
 //
 // DraComponent runs *all* partitions concurrently (they are disjoint color
-// classes, so their messages never share an edge).  It is embedded by the
-// DHC1/DHC2 protocols for Phase 1 and wrapped by run_dra() for standalone
-// use (one partition spanning the whole graph).
+// classes, so their messages never share an edge).  Phase1Component wraps it
+// into DHC1/DHC2's shared Phase 1 (random colors, setup, per-color DRA);
+// run_dra() wraps it for standalone use (one partition spanning the whole
+// graph).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "congest/network.h"
@@ -184,6 +187,59 @@ class DraComponent {
   support::ShardCounter<std::uint32_t> budget_aborts_ = 0;
   support::ShardCounter<std::uint32_t> tiny_aborts_ = 0;
   support::ShardCounter<std::uint32_t> restarts_ = 0;
+};
+
+/// Phase 1 of DHC1 and DHC2 (paper Alg. 2 lines 6–9, Alg. 3 Phase 1): every
+/// node draws a uniform random color in [0, num_colors); a global BFS setup
+/// (tags 1..5) prices the phase barriers at 2·depth + 2; each color class
+/// builds its own setup (tags 8..12); DRA then runs in every class at once
+/// (tags 16..20).  Only the merge that follows differs between the two
+/// algorithms.  The enclosing protocol forwards begin() and step(), and
+/// calls advance() from on_quiescence until it returns false.
+class Phase1Component {
+ public:
+  Phase1Component(NodeId n, std::uint32_t num_colors, DraParams cfg);
+
+  /// Draws this node's color; call from Protocol::begin.
+  void begin(congest::Context& ctx);
+
+  /// Routes the node's step to the running stage; call from Protocol::step
+  /// until advance() has returned false.
+  void step(congest::Context& ctx);
+
+  /// Advances the stage machine at a quiescence barrier.  Returns true while
+  /// Phase 1 continues (the protocol returns true from on_quiescence), false
+  /// once it is over — then failure() tells whether every partition closed.
+  bool advance(congest::Network& net);
+
+  /// "" on success (or while running); otherwise the Phase-1 failure text.
+  const std::string& failure() const { return failure_; }
+
+  std::uint32_t num_colors() const { return num_colors_; }
+  std::uint32_t color(NodeId v) const { return colors_[v]; }
+
+  /// The stage components; nullptr until their stage has started.
+  const congest::SetupComponent* global_setup() const { return ptr(global_setup_); }
+  const congest::SetupComponent* partition_setup() const { return ptr(partition_setup_); }
+  const DraComponent* dra() const { return ptr(dra_); }
+
+ private:
+  enum class Stage : std::uint8_t { kInit, kGlobalSetup, kPartitionSetup, kDra, kDone };
+
+  template <class T>
+  static const T* ptr(const std::optional<T>& o) {
+    return o ? &*o : nullptr;
+  }
+
+  NodeId n_;
+  std::uint32_t num_colors_;
+  DraParams cfg_;
+  std::vector<std::uint32_t> colors_;
+  Stage stage_ = Stage::kInit;
+  std::string failure_;
+  std::optional<congest::SetupComponent> global_setup_;
+  std::optional<congest::SetupComponent> partition_setup_;
+  std::optional<DraComponent> dra_;
 };
 
 /// Runs DRA standalone with the whole graph as a single partition (the

@@ -469,21 +469,7 @@ Result run_turau(const graph::Graph& g, std::uint64_t seed, const TurauConfig& c
   result.stats["tree_depth"] = static_cast<double>(protocol.setup_.tree_depth(0));
   result.series["paths_per_level"] = protocol.paths_per_level_;
 
-  if (result.metrics.hit_round_limit) {
-    result.failure_reason = "round limit exceeded";
-    return result;
-  }
-  if (!protocol.failure_.empty()) {
-    result.failure_reason = protocol.failure_;
-    return result;
-  }
-  result.cycle = protocol.incidence();
-  const auto verdict = graph::verify_cycle_incidence(g, result.cycle);
-  if (!verdict.ok()) {
-    result.failure_reason = "final cycle invalid: " + *verdict.failure;
-    return result;
-  }
-  result.success = true;
+  finish_result(result, g, protocol.failure_, [&] { return protocol.incidence(); });
   return result;
 }
 

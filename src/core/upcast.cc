@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "congest/network.h"
 #include "congest/setup.h"
@@ -286,21 +287,7 @@ Result run_upcast(const graph::Graph& g, std::uint64_t seed, const UpcastConfig&
   result.stats["root_solve_steps"] = static_cast<double>(protocol.root_solve_steps_);
   result.stats["tree_depth"] = static_cast<double>(protocol.setup_.tree_depth(0));
 
-  if (result.metrics.hit_round_limit) {
-    result.failure_reason = "round limit exceeded";
-    return result;
-  }
-  if (!protocol.failure_.empty()) {
-    result.failure_reason = protocol.failure_;
-    return result;
-  }
-  result.cycle = protocol.incidence_;
-  const auto verdict = graph::verify_cycle_incidence(g, result.cycle);
-  if (!verdict.ok()) {
-    result.failure_reason = "final cycle invalid: " + *verdict.failure;
-    return result;
-  }
-  result.success = true;
+  finish_result(result, g, protocol.failure_, [&] { return std::move(protocol.incidence_); });
   return result;
 }
 

@@ -130,16 +130,9 @@ struct KMachineReport {
   std::uint64_t busiest_link_peak = 0;
 };
 
-/// An algorithm the backend can drive: run a CONGEST protocol over `g` from
-/// `seed` with `observer` attached, `shards` simulator shards (0 = the
-/// DHC_SHARDS environment default; bitwise-neutral), and an optional fault
-/// plan (nullptr = synchronous; non-null switches the simulator to the async
-/// delivery regime — the `--model=async` backend), returning the solver's
-/// Result.  The adapters below wrap the registered algorithms; any lambda
-/// with this shape works too.
-using CongestAlgorithm = std::function<core::Result(
-    const graph::Graph& g, std::uint64_t seed, congest::MessageObserver* observer,
-    std::uint32_t shards, const congest::FaultPlan* faults)>;
+/// An algorithm the backend can drive (core/result.h); the adapters below
+/// wrap the registered solvers.
+using CongestAlgorithm = core::CongestAlgorithm;
 
 /// Adapters for the registered CONGEST algorithms.  Each captures a base
 /// config; the backend's observer, shards and faults override the base

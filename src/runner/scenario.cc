@@ -1,5 +1,6 @@
 #include "runner/scenario.h"
 
+#include <algorithm>
 #include <bit>
 #include <fstream>
 #include <initializer_list>
@@ -382,7 +383,9 @@ Scenario scenario_from_spec(const std::map<std::string, std::string>& spec) {
   return s;
 }
 
-Scenario scenario_from_file(const std::string& path) {
+namespace {
+
+std::map<std::string, std::string> read_spec_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::invalid_argument("cannot open scenario file '" + path + "'");
   std::map<std::string, std::string> spec;
@@ -410,66 +413,44 @@ Scenario scenario_from_file(const std::string& path) {
     }
     spec[key] = value;
   }
-  return scenario_from_spec(spec);
+  return spec;
 }
 
-Scenario scenario_from_cli(const support::Cli& cli) {
-  Scenario s;
-  if (cli.has("scenario")) s = scenario_from_file(cli.get_string("scenario", ""));
-  s.name = cli.get_string("name", s.name);
-  for (const char* key : {"algo", "algos"}) {
+/// The spec key a flag sets: --algo is an alias of algos; --k and --k_list
+/// of machines.
+std::string canonical_key(const std::string& key) {
+  if (key == "algo") return "algos";
+  if (key == "k" || key == "k_list") return "machines";
+  return key;
+}
+
+}  // namespace
+
+Scenario scenario_from_file(const std::string& path) {
+  return scenario_from_spec(read_spec_file(path));
+}
+
+Scenario scenario_from_cli(const support::Cli& cli, std::span<const std::string_view> tool_flags) {
+  // --machines / --k / --k_list are aliases; more than one is ambiguous.
+  const char* seen = nullptr;
+  for (const char* key : {"machines", "k", "k_list"}) {
     if (!cli.has(key)) continue;
-    s.algos.clear();
-    for (const auto& part : split_commas(key, cli.get_string(key, ""))) {
-      s.algos.push_back(parse_algorithm(part));
+    if (seen != nullptr) {
+      throw std::invalid_argument(std::string("flags --") + seen + " and --" + key +
+                                  " are aliases; pass only one");
     }
+    seen = key;
   }
-  if (cli.has("model")) s.model = parse_execution_model(cli.get_string("model", ""));
-  if (cli.has("family")) s.family = parse_graph_family(cli.get_string("family", ""));
-  if (cli.has("sizes")) s.sizes = cli.get_int_list("sizes", {});
-  if (cli.has("deltas")) s.deltas = cli.get_double_list("deltas", {});
-  if (cli.has("cs")) s.cs = cli.get_double_list("cs", {});
-  if (cli.has("merges")) {
-    s.merges.clear();
-    for (const auto& part : split_commas("merges", cli.get_string("merges", ""))) {
-      s.merges.push_back(parse_merge_strategy(part));
-    }
+  std::map<std::string, std::string> spec;
+  if (cli.has("scenario")) spec = read_spec_file(cli.get_string("scenario", ""));
+  for (const auto& [flag, value] : cli.flags()) {
+    if (flag == "scenario" || std::ranges::find(tool_flags, flag) != tool_flags.end()) continue;
+    // A flag overrides the file's key under any of its names.
+    const std::string key = canonical_key(flag);
+    std::erase_if(spec, [&](const auto& entry) { return canonical_key(entry.first) == key; });
+    spec[key] = value;
   }
-  {
-    // --machines / --k / --k_list are aliases; more than one is ambiguous.
-    const char* seen = nullptr;
-    for (const char* key : {"machines", "k", "k_list"}) {
-      if (!cli.has(key)) continue;
-      if (seen != nullptr) {
-        throw std::invalid_argument(std::string("flags --") + seen + " and --" + key +
-                                    " are aliases; pass only one");
-      }
-      seen = key;
-      s.machines = cli.get_int_list(key, {});
-    }
-  }
-  if (cli.has("bandwidth")) s.bandwidth = cli.get_int("bandwidth", s.bandwidth);
-  if (cli.has("seeds")) s.seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 0));
-  if (cli.has("seed")) s.base_seed = static_cast<std::uint64_t>(cli.get_int("seed", 0));
-  if (cli.has("node_stats")) {
-    s.node_stats = congest::parse_node_stats_mode(cli.get_string("node_stats", ""));
-  }
-  if (cli.has("delay_dist")) {
-    s.delay_dists = split_commas("delay_dist", cli.get_string("delay_dist", ""));
-  }
-  if (cli.has("drop_prob")) s.drop_probs = cli.get_double_list("drop_prob", {});
-  if (cli.has("max_rounds")) {
-    s.max_rounds = static_cast<std::uint64_t>(cli.get_int("max_rounds", 0));
-  }
-  if (cli.has("crash_schedule")) {
-    s.crash_schedules = split_commas("crash_schedule", cli.get_string("crash_schedule", ""));
-  }
-  if (cli.has("reliability")) {
-    s.reliabilities = split_commas("reliability", cli.get_string("reliability", ""));
-  }
-  if (cli.has("rto")) s.rto = cli.get_string("rto", s.rto);
-  s.validate();
-  return s;
+  return scenario_from_spec(spec);
 }
 
 }  // namespace dhc::runner

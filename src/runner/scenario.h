@@ -15,7 +15,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/dhc2.h"
@@ -187,8 +189,11 @@ Scenario scenario_from_file(const std::string& path);
 
 /// Builds a Scenario from command-line flags.  When --scenario=FILE is
 /// present the file provides the baseline and any other flags override it;
-/// otherwise defaults are used.  Flag names match the spec keys, with
-/// --algo/--algos and --seed/--seeds both accepted.
-Scenario scenario_from_cli(const support::Cli& cli);
+/// otherwise defaults are used.  Flag names are the spec keys, plus the
+/// aliases --k (of --machines) and --algo (of --algos).  Flags named in
+/// `tool_flags` belong to the calling tool and are skipped; any other flag
+/// that is not a spec key throws std::invalid_argument.
+Scenario scenario_from_cli(const support::Cli& cli,
+                           std::span<const std::string_view> tool_flags = {});
 
 }  // namespace dhc::runner

@@ -89,7 +89,7 @@ void fill_from_result(TrialResult& out, core::Result& r) {
   }
   // Logical in-flight message high-water mark (congest/metrics.h): a count of
   // messages × sizeof(Message), never allocator capacity, so it is bitwise
-  // identical across thread counts, shard counts, and arena budgets.
+  // identical across thread counts and shard counts.
   out.stats["arena_bytes_peak"] = static_cast<double>(r.metrics.arena_bytes_peak);
 }
 
@@ -116,7 +116,7 @@ void verify_incidence(TrialResult& out, const graph::Graph& g,
 // dhc2 takes per-trial algorithm parameters (delta, merge strategy).  All
 // three execution models share this adapter, so a congest, a k-machine and
 // an async run of the same cell can never drift apart.
-kmachine::CongestAlgorithm congest_algorithm_for(const TrialConfig& t,
+core::CongestAlgorithm congest_algorithm_for(const TrialConfig& t,
                                                  const congest::EngineHooks& hooks) {
   if (t.algo == Algorithm::kDhc2) {
     core::Dhc2Config cfg;
@@ -174,7 +174,7 @@ void run_congest_trial(TrialResult& out, const graph::Graph& g, const TrialConfi
   congest::EngineHooks hooks;
   hooks.trace = rec;
   hooks.node_stats = opt.node_stats;
-  const kmachine::CongestAlgorithm algo = congest_algorithm_for(t, hooks);
+  const core::CongestAlgorithm algo = congest_algorithm_for(t, hooks);
 
   core::Result r;
   kmachine::KMachineReport priced;

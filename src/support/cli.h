@@ -20,6 +20,9 @@ class Cli {
 
   bool has(const std::string& key) const;
 
+  /// Every flag, by name.
+  const std::map<std::string, std::string>& flags() const { return flags_; }
+
   /// Typed getters; return `fallback` when the flag is absent and throw
   /// std::invalid_argument when present but malformed.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -312,5 +313,23 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 }
 
 JsonValue parse_json(const std::string& text) { return Parser(text).parse_document(); }
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char ch : s) {
+    if (ch == '"' || ch == '\\') {
+      out.push_back('\\');
+      out.push_back(ch);
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
+      out += buf;
+    } else {
+      out.push_back(ch);
+    }
+  }
+  return out;
+}
 
 }  // namespace dhc::support

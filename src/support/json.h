@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dhc::support {
@@ -77,6 +78,11 @@ class JsonValue {
   std::shared_ptr<JsonArray> arr_;
   std::shared_ptr<JsonObject> obj_;
 };
+
+/// `s` as the body of a JSON string literal (no surrounding quotes): quote
+/// and backslash are backslash-escaped, other control characters become
+/// \u00XX; every other byte, UTF-8 included, passes through.
+std::string json_escape(std::string_view s);
 
 /// Parses one JSON document from `text`; requires the whole string to be
 /// consumed (trailing whitespace allowed).  Throws std::invalid_argument with

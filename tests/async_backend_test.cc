@@ -12,6 +12,7 @@
 
 #include "graph/generators.h"
 #include "graph/hamiltonian.h"
+#include "kmachine/kmachine.h"
 #include "runner/aggregator.h"
 #include "runner/scenario.h"
 #include "runner/trial_runner.h"

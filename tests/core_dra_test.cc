@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include "async/async.h"
 #include "core/sequential.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "kmachine/kmachine.h"
+#include "runner/scenario.h"
+#include "runner/trial_runner.h"
 
 namespace dhc::core {
 namespace {
@@ -119,6 +123,43 @@ TEST(Dra, MemoryStaysLinearInDegree) {
   ASSERT_TRUE(r.success) << r.failure_reason;
   const auto max_mem = static_cast<std::size_t>(r.metrics.max_node_peak_memory());
   EXPECT_LE(max_mem, 3 * g.max_degree() + 8);
+}
+
+TEST(Dra, NeverReportsAnUnverifiedCycleUnderLossyAsyncDelivery) {
+  // The async-lossy benchmark cell for base seed 5, trial 4: under 2% drops
+  // with the ack overlay, DRA's partition closes with an asymmetric
+  // incidence.  run_dra must report that as a failure itself, not leave it
+  // to the runner's second check.
+  runner::Scenario s;
+  s.model = runner::ExecutionModel::kAsync;
+  s.algos = {runner::Algorithm::kDra};
+  s.sizes = {512};
+  s.deltas = {0.5};
+  s.cs = {2.5};
+  s.delay_dists = {"fixed:1"};
+  s.drop_probs = {0.02};
+  s.reliabilities = {"ack"};
+  s.max_rounds = 200000;
+  s.seeds = 5;
+  s.base_seed = 5;
+  const runner::TrialConfig t = runner::expand(s).at(4);
+  const Graph g = runner::make_trial_instance(t);
+
+  runner::TrialOptions unverified;
+  unverified.verify = false;
+  const runner::TrialResult trial = runner::run_trial(t, unverified);
+
+  async::AsyncConfig acfg;
+  acfg.delay = congest::DelaySpec::parse(t.delay_dist);
+  acfg.drop_prob = t.drop_prob;
+  acfg.reliability = congest::ReliabilitySpec::parse(t.reliability);
+  acfg.max_rounds = t.max_rounds;
+  const Result r = async::run_async(kmachine::dra_algorithm(), g, t.algo_seed, acfg).result;
+
+  EXPECT_TRUE(!r.success || graph::verify_cycle_incidence(g, r.cycle).ok())
+      << "run_dra claimed an invalid cycle";
+  EXPECT_EQ(trial.success, r.success) << trial.failure_reason;
+  EXPECT_EQ(trial.failure_reason, r.failure_reason);
 }
 
 // Theorem 2 sweep: p = c ln n / n with c = 6; every seed must produce a

@@ -7,6 +7,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace dhc::runner {
 namespace {
@@ -365,6 +366,43 @@ TEST(ScenarioFromCli, RejectsMalformedFlags) {
   const char* argv[] = {"prog", "--algos=warp"};
   const support::Cli cli(2, argv);
   EXPECT_THROW(scenario_from_cli(cli), std::invalid_argument);
+}
+
+TEST(ScenarioFromCli, RejectsUnknownFlagsButSkipsToolFlags) {
+  // A misspelt scenario flag must not run the default grid silently.
+  const char* typo[] = {"prog", "--algos=dra", "--sizse=64", "--sizes=64", "--seeds=1"};
+  EXPECT_THROW(scenario_from_cli(support::Cli(5, typo)), std::invalid_argument);
+
+  const char* argv[] = {"prog", "--algos=dra", "--sizes=64", "--threads=4"};
+  const support::Cli cli(4, argv);
+  EXPECT_THROW(scenario_from_cli(cli), std::invalid_argument);
+  constexpr std::string_view kToolFlags[] = {"threads"};
+  const auto s = scenario_from_cli(cli, kToolFlags);
+  EXPECT_EQ(s.sizes, (std::vector<std::int64_t>{64}));
+}
+
+TEST(ScenarioFromCli, AliasesStayExclusive) {
+  const char* argv[] = {"prog", "--model=kmachine", "--machines=4", "--k=8"};
+  try {
+    scenario_from_cli(support::Cli(4, argv));
+    FAIL() << "expected the alias conflict to throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flags --machines and --k are aliases; pass only one");
+  }
+}
+
+TEST_F(ScenarioFileTest, FlagsOverrideTheFileUnderAnyAlias) {
+  const auto path = write_file(
+      "algo = dra\n"
+      "model = kmachine\n"
+      "k_list = 2\n"
+      "sizes = 64\n");
+  const std::string scenario_flag = "--scenario=" + path;
+  const char* argv[] = {"prog", scenario_flag.c_str(), "--algos=turau", "--k=4,8"};
+  const auto s = scenario_from_cli(support::Cli(4, argv));
+  EXPECT_EQ(s.algos, (std::vector<Algorithm>{Algorithm::kTurau}));
+  EXPECT_EQ(s.machines, (std::vector<std::int64_t>{4, 8}));
+  EXPECT_EQ(s.sizes, (std::vector<std::int64_t>{64}));
 }
 
 }  // namespace

@@ -27,6 +27,8 @@
 #include "graph/generators.h"
 #include "kmachine/kmachine.h"
 #include "runner/trial_runner.h"
+#include "support/json.h"
+#include "trace/chrome.h"
 #include "trace/reader.h"
 #include "trace/recorder.h"
 #include "trace/summary.h"
@@ -361,6 +363,25 @@ TEST(TraceSummary, PhaseRoundsSumToMetricsRounds) {
   print_summary(data, report);
   EXPECT_NE(report.str().find("TOTAL"), std::string::npos);
   EXPECT_NE(report.str().find("algo=dhc2"), std::string::npos);
+}
+
+TEST(TraceChrome, ExportOfControlCharacterLabelsParsesBack) {
+  // Labels are free text: quotes, backslashes and control characters must
+  // all come out as valid JSON that parses back to the same string.
+  const std::string label = std::string("phase\x01\"quoted\"\\\n") + '\x1f';
+  TraceData data;
+  data.meta_strings["algo"] = "dra\t";
+  PhaseSpan span;
+  span.label = label;
+  span.to_round = 1;
+  data.spans.push_back(span);
+  std::ostringstream os;
+  write_chrome_trace(data, os);
+  const support::JsonValue doc = support::parse_json(os.str());
+  const support::JsonArray& events = doc.get("traceEvents").as_array();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].get("args").str("name"), "dra\t");
+  EXPECT_EQ(events[1].str("name"), label);
 }
 
 TEST(TraceIntegration, RunTrialWritesReadableTraceFile) {

@@ -8,7 +8,8 @@
 //   ./dhc_run --algo=dhc2 --sizes=256,512 --deltas=0.5 --seeds=20 --threads=8
 //   ./dhc_run --scenario=sweep.scn --threads=0        # 0 = all hardware threads
 //
-// Flags (all optional; scenario-file keys use the same names):
+// Flags (all optional; scenario-file keys use the same names; any other flag
+// is an error):
 //   --scenario=FILE   key = value scenario file; other flags override it
 //   --name=STR        scenario name recorded in the artifacts
 //   --algos=LIST      sequential|dra|dhc1|dhc2|upcast|collect-all|turau|cre
@@ -65,6 +66,7 @@
 //   --bench=LIST      run the named presets (or "all"); prints throughput and
 //                     writes the BENCH artifact instead of scenario output
 //   --bench-json=PATH BENCH artifact path (default BENCH_congest.json)
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -73,6 +75,7 @@
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "runner/aggregator.h"
@@ -82,6 +85,11 @@
 #include "support/cli.h"
 
 namespace {
+
+// dhc_run's own flags; every other flag must be a scenario key.
+constexpr std::array<std::string_view, 10> kToolFlags = {
+    "threads", "shards", "json", "csv", "verify", "trace", "track_rss", "bench", "bench-json",
+    "help"};
 
 // Shared flag validation: negative or absurd values are rejected with exit
 // code 2 (the env path, congest::default_shards(), applies the same bounds).
@@ -178,7 +186,7 @@ int main(int argc, char** argv) {
     if (cli.has("bench") && bench_spec != "false" && bench_spec != "0") {
       return run_bench_mode(cli);
     }
-    const runner::Scenario scenario = runner::scenario_from_cli(cli);
+    const runner::Scenario scenario = runner::scenario_from_cli(cli, kToolFlags);
     runner::RunnerOptions opt;
     opt.threads = cli.has("threads") ? checked_unsigned(cli, "threads", 1 << 20) : 1;
     opt.verify = cli.get_bool("verify", true);

@@ -7,9 +7,14 @@
 // engines must produce valid cycles; the ablation quantifies the message
 // gap (the round counts may differ slightly since edge draws differ).
 //
+// The instances come from the runner (runner::make_trial_instance over an
+// expanded Scenario): the graphs a `dhc_run --algos=dra` sweep of the same
+// cells solves.  The broadcast mode itself is not a scenario axis.
+//
 // Flags: --sizes=..., --seeds=N, --c=X.
 #include "bench_util.h"
 #include "core/dra.h"
+#include "runner/trial_runner.h"
 
 int main(int argc, char** argv) {
   using namespace dhc;
@@ -17,6 +22,14 @@ int main(int argc, char** argv) {
   const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 3));
   const double c = cli.get_double("c", 6.0);
   const auto sizes = cli.get_int_list("sizes", {256, 512, 1024});
+  runner::Scenario scenario;
+  scenario.algos = {runner::Algorithm::kDra};
+  scenario.sizes = sizes;
+  scenario.deltas = {1.0};
+  scenario.cs = {c};
+  scenario.seeds = seeds;
+  scenario.base_seed = 350;
+  const auto trials = runner::expand(scenario);
 
   bench::banner("EXP-A1",
                 "ablation: rotation broadcast engine — BFS tree (O(n) msgs/rotation) vs "
@@ -36,11 +49,11 @@ int main(int argc, char** argv) {
       std::vector<double> msgs;
       std::vector<double> per_rot;
       int ok = 0;
-      for (std::uint64_t s = 1; s <= seeds; ++s) {
-        const auto g = bench::make_instance(n, c, 1.0, s + 350);
+      for (const auto& t : trials) {
+        if (t.n != n) continue;
         core::DraConfig cfg;
         cfg.broadcast = mode;
-        const auto r = core::run_dra(g, s * 23 + 11, cfg);
+        const auto r = core::run_dra(runner::make_trial_instance(t), t.algo_seed, cfg);
         if (!r.success) continue;
         ++ok;
         rounds.push_back(static_cast<double>(r.metrics.rounds));

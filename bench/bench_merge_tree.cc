@@ -6,9 +6,13 @@
 // candidates discovered (growing with cycle size — the slack behind
 // Lemma 8's "very high probability").
 //
+// The instances come from the runner (runner::make_trial_instance over an
+// expanded Scenario): the graphs a `dhc_run --algos=dhc2` sweep solves.
+//
 // Flags: --n=..., --seeds=N, --c=X, --delta=X.
 #include "bench_util.h"
 #include "core/dhc2.h"
+#include "runner/trial_runner.h"
 
 int main(int argc, char** argv) {
   using namespace dhc;
@@ -17,6 +21,12 @@ int main(int argc, char** argv) {
   const double c = cli.get_double("c", 2.5);
   const double delta = cli.get_double("delta", 0.5);
   const auto n = static_cast<graph::NodeId>(cli.get_int("n", 4096));
+  runner::Scenario scenario;
+  scenario.sizes = {n};
+  scenario.deltas = {delta};
+  scenario.cs = {c};
+  scenario.seeds = seeds;
+  scenario.base_seed = 40;
 
   bench::banner("EXP-L8 / Fig. 3",
                 "Lemmas 8/9: all O(log n) merge levels succeed whp; "
@@ -29,11 +39,11 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> cands_by_level;
   int successes = 0;
   double expected_levels = 0;
-  for (std::uint64_t s = 1; s <= seeds; ++s) {
-    const auto g = bench::make_instance(n, c, delta, s + 40);
+  for (const auto& t : runner::expand(scenario)) {
+    const auto g = runner::make_trial_instance(t);
     core::Dhc2Config cfg;
     cfg.delta = delta;
-    const auto r = core::run_dhc2(g, s * 97 + 3, cfg);
+    const auto r = core::run_dhc2(g, t.algo_seed, cfg);
     expected_levels = r.stat("merge_levels");
     if (!r.success) continue;
     ++successes;

@@ -9,6 +9,11 @@
 // Flags: --sizes=..., --deltas=..., --trials=N.
 #include "bench_util.h"
 
+#include <algorithm>
+
+#include "graph/graph.h"
+#include "support/rng.h"
+
 int main(int argc, char** argv) {
   using namespace dhc;
   const support::Cli cli(argc, argv);

@@ -1,4 +1,4 @@
-// Shared helpers for the experiment harness (bench/ binaries).
+// Shared helpers for the experiment binaries (bench/; experiments/*.scn holds the rest).
 //
 // Every experiment binary prints: the experiment id and the paper claim it
 // reproduces, an aligned table of measured series, and a one-line verdict
@@ -8,24 +8,15 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "graph/generators.h"
 #include "support/cli.h"
-#include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
 
 namespace dhc::bench {
-
-/// ln²n / ln ln n — the polylog factor in Theorems 1 and 10.
-inline double polylog_factor(double n) {
-  const double ln = std::log(n);
-  return ln * ln / std::log(ln);
-}
 
 /// Prints the experiment banner: id, claim, and parameters.
 inline void banner(const std::string& exp_id, const std::string& claim,
@@ -35,30 +26,9 @@ inline void banner(const std::string& exp_id, const std::string& claim,
   std::cout << "params: " << params << "\n\n";
 }
 
-/// Runs `trial(seed)` for `seeds` seeds and returns all values.
-inline std::vector<double> across_seeds(std::uint64_t seeds,
-                                        const std::function<double(std::uint64_t)>& trial) {
-  std::vector<double> values;
-  values.reserve(seeds);
-  for (std::uint64_t s = 1; s <= seeds; ++s) values.push_back(trial(s));
-  return values;
-}
-
-/// Median across seeds.
-inline double median_across_seeds(std::uint64_t seeds,
-                                  const std::function<double(std::uint64_t)>& trial) {
-  return support::quantile(across_seeds(seeds, trial), 0.5);
-}
-
 /// One-line verdict.
 inline void verdict(bool ok, const std::string& text) {
   std::cout << "\nverdict: " << (ok ? "PASS — " : "CHECK — ") << text << "\n\n";
-}
-
-/// A G(n, p) instance with p = c·ln n / n^δ, seeded deterministically.
-inline graph::Graph make_instance(graph::NodeId n, double c, double delta, std::uint64_t seed) {
-  support::Rng rng(seed * 7919 + n);
-  return graph::gnp(n, graph::edge_probability(n, c, delta), rng);
 }
 
 }  // namespace dhc::bench

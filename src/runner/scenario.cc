@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "congest/fault_plan.h"
+#include "runner/claims.h"
 #include "support/require.h"
 #include "support/rng.h"
 
@@ -148,6 +149,7 @@ void Scenario::validate() const {
     DHC_REQUIRE(!reliability_requested, "reliability / rto need model = async");
     DHC_REQUIRE(max_rounds == 0, "max_rounds needs model = async");
   }
+  if (!claims.empty()) validate_claims(claims);
 }
 
 namespace {
@@ -375,6 +377,8 @@ Scenario scenario_from_spec(const std::map<std::string, std::string>& spec) {
       s.rto = value;
     } else if (key == "max_rounds") {
       s.max_rounds = static_cast<std::uint64_t>(parse_int(key, value));
+    } else if (key == "claims") {
+      s.claims = value;
     } else {
       throw std::invalid_argument("unknown scenario key '" + key + "'");
     }

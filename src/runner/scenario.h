@@ -127,6 +127,9 @@ struct Scenario {
   /// digests instead of the five per-node vectors — the large-n mode.
   /// Headline metrics are identical in every mode.
   congest::NodeStatsMode node_stats = congest::NodeStatsMode::kFull;
+  /// The bounds the experiment checks on its aggregates (spec key `claims`,
+  /// runner/claims.h).  They never enter expand(), seeds, or the artifacts.
+  std::string claims;
 
   /// Throws std::invalid_argument when any field is out of range (empty
   /// lists, δ outside (0, 1], n < 4, seeds == 0, ...).
@@ -178,7 +181,7 @@ std::vector<TrialConfig> expand(const Scenario& s);
 /// parsing).  Recognized keys: name, algos (or algo), model, family, sizes,
 /// deltas, cs, merges, machines (or k_list), bandwidth, seeds, seed,
 /// node_stats, delay_dist, drop_prob, crash_schedule, reliability, rto,
-/// max_rounds.  Unknown keys and malformed values throw
+/// max_rounds, claims.  Unknown keys and malformed values throw
 /// std::invalid_argument.
 Scenario scenario_from_spec(const std::map<std::string, std::string>& spec);
 

@@ -7,6 +7,31 @@
 
 namespace dhc::support {
 
+namespace {
+
+// std::stoll / std::stod that reject trailing junk ("2x", "1.9" for an int).
+std::int64_t whole_int(const std::string& s) {
+  std::size_t pos = 0;
+  const std::int64_t v = std::stoll(s, &pos);
+  return pos == s.size() ? v : throw std::invalid_argument("trailing junk");
+}
+
+double whole_double(const std::string& s) {
+  std::size_t pos = 0;
+  const double v = std::stod(s, &pos);
+  return pos == s.size() ? v : throw std::invalid_argument("trailing junk");
+}
+
+std::vector<std::string> split_commas(const std::string& s) {
+  std::vector<std::string> parts;
+  std::istringstream is(s);
+  std::string part;
+  while (std::getline(is, part, ',')) parts.push_back(part);
+  return parts;
+}
+
+}  // namespace
+
 Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -26,7 +51,7 @@ std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
   try {
-    return std::stoll(it->second);
+    return whole_int(it->second);
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + key + " expects an integer, got '" + it->second + "'");
   }
@@ -36,7 +61,7 @@ double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
   try {
-    return std::stod(it->second);
+    return whole_double(it->second);
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + key + " expects a number, got '" + it->second + "'");
   }
@@ -55,18 +80,6 @@ bool Cli::get_bool(const std::string& key, bool fallback) const {
   throw std::invalid_argument("flag --" + key + " expects true/false, got '" + it->second + "'");
 }
 
-namespace {
-
-std::vector<std::string> split_commas(const std::string& s) {
-  std::vector<std::string> parts;
-  std::istringstream is(s);
-  std::string part;
-  while (std::getline(is, part, ',')) parts.push_back(part);
-  return parts;
-}
-
-}  // namespace
-
 std::vector<std::int64_t> Cli::get_int_list(const std::string& key,
                                             std::vector<std::int64_t> fallback) const {
   const auto it = flags_.find(key);
@@ -74,7 +87,7 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& key,
   std::vector<std::int64_t> out;
   for (const auto& part : split_commas(it->second)) {
     try {
-      out.push_back(std::stoll(part));
+      out.push_back(whole_int(part));
     } catch (const std::exception&) {
       throw std::invalid_argument("flag --" + key + " expects integers, got '" + part + "'");
     }
@@ -89,7 +102,7 @@ std::vector<double> Cli::get_double_list(const std::string& key,
   std::vector<double> out;
   for (const auto& part : split_commas(it->second)) {
     try {
-      out.push_back(std::stod(part));
+      out.push_back(whole_double(part));
     } catch (const std::exception&) {
       throw std::invalid_argument("flag --" + key + " expects numbers, got '" + part + "'");
     }

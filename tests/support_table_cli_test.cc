@@ -84,6 +84,18 @@ TEST(Cli, MalformedValuesThrow) {
   EXPECT_THROW(cli.get_bool("flag", false), std::invalid_argument);
 }
 
+TEST(Cli, TrailingJunkThrows) {
+  const auto cli = make_cli({"--threads=2x", "--n=1.9", "--c=2.5q", "--sizes=64,128x",
+                             "--cs=1.5,2y"});
+  EXPECT_THROW(cli.get_int("threads", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("c", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int_list("sizes", {}), std::invalid_argument);
+  EXPECT_THROW(cli.get_int_list("cs", {}), std::invalid_argument);
+  EXPECT_THROW(cli.get_double_list("cs", {}), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(cli.get_double("n", 0.0), 1.9);
+}
+
 TEST(Cli, PositionalArgumentRejected) {
   std::vector<const char*> argv{"prog", "positional"};
   EXPECT_THROW(Cli(2, argv.data()), std::invalid_argument);

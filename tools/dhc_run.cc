@@ -8,6 +8,9 @@
 //   ./dhc_run --algo=dhc2 --sizes=256,512 --deltas=0.5 --seeds=20 --threads=8
 //   ./dhc_run --scenario=sweep.scn --threads=0        # 0 = all hardware threads
 //
+// Exit codes: 0 = ok, 1 = error, 2 = bad usage (flag, scenario or claim), 3 = a
+// scenario claim failed (claims print per cell with PASS/FAIL; runner/claims.h).
+//
 // Flags (all optional; scenario-file keys use the same names; any other flag
 // is an error):
 //   --scenario=FILE   key = value scenario file; other flags override it
@@ -66,6 +69,8 @@
 //   --bench=LIST      run the named presets (or "all"); prints throughput and
 //                     writes the BENCH artifact instead of scenario output
 //   --bench-json=PATH BENCH artifact path (default BENCH_congest.json)
+//   plus --threads, --shards and --verify; any other flag is an error.
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdlib>
@@ -80,6 +85,7 @@
 
 #include "runner/aggregator.h"
 #include "runner/bench.h"
+#include "runner/claims.h"
 #include "runner/scenario.h"
 #include "runner/trial_runner.h"
 #include "support/cli.h"
@@ -110,8 +116,17 @@ void write_artifact(const std::string& path, const std::string& what,
   std::cout << what << " artifact: " << path << "\n";
 }
 
+// The flags --bench mode reads; any other flag is an error.
+constexpr std::array<std::string_view, 6> kBenchFlags = {"bench", "bench-json", "threads",
+                                                         "shards", "verify", "help"};
+
 int run_bench_mode(const dhc::support::Cli& cli) {
   using namespace dhc;
+  for (const auto& [flag, value] : cli.flags()) {
+    if (std::ranges::find(kBenchFlags, flag) == kBenchFlags.end()) {
+      throw std::invalid_argument("unknown flag --" + flag + " in --bench mode");
+    }
+  }
   runner::RunnerOptions opt;
   opt.threads = cli.has("threads") ? checked_unsigned(cli, "threads", 1 << 20) : 1;
   opt.verify = cli.get_bool("verify", true);
@@ -223,6 +238,7 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n" << trials.size() << " trials, " << failures << " failed; wall "
               << wall << " s (" << trial_seconds << " s of trial work)\n";
+    const bool claims_hold = runner::check_claims(std::cout, scenario.claims, summaries);
 
     const std::string json_path = cli.get_string("json", "dhc_run.json");
     if (!json_path.empty()) {
@@ -235,7 +251,7 @@ int main(int argc, char** argv) {
       write_artifact(csv_path, "CSV",
                      [&](std::ostream& os) { runner::write_csv(os, summaries); });
     }
-    return EXIT_SUCCESS;
+    return claims_hold ? EXIT_SUCCESS : 3;  // each failing claim is printed above
   } catch (const std::invalid_argument& e) {
     std::cerr << "dhc_run: " << e.what() << "\n(run with --help for usage)\n";
     return 2;

@@ -1,16 +1,16 @@
-// Perf-regression harness: named benchmark presets and the BENCH_congest
-// artifact.
+// Perf-regression harness: benchmark presets and the BENCH_congest artifact.
 //
-// `dhc_run --bench=NAME,...` runs each named preset (a frozen Scenario) on
-// the trial-runner worker pool and records simulator *throughput* — wall
-// time, trials/sec, messages/sec — plus the process peak RSS, as machine-
-// readable JSON (BENCH_congest.json).  Every performance PR is measured
-// against the previous artifact in the same format; the first baseline,
-// captured from the pre-arena simulator, lives in
+// `dhc_run --bench=FILE,...` runs each preset — a frozen scenario file under
+// bench/presets/, named after its file — on the trial-runner worker pool and
+// records simulator *throughput* — wall time, trials/sec, messages/sec — plus
+// the process peak RSS, as machine-readable JSON (BENCH_congest.json).  Every
+// performance PR is measured against the previous artifact in the same
+// format; the first baseline, captured from the pre-arena simulator, lives in
 // bench/baselines/BENCH_congest_pre.json.
 //
 // Presets are frozen on purpose: a preset whose scenario drifts between
-// commits measures nothing.  Add new presets instead of editing old ones.
+// commits measures nothing.  Add new preset files instead of editing old
+// ones; runner_experiments_test pins every file's expanded trial list.
 #pragma once
 
 #include <cstdint>
@@ -23,22 +23,6 @@
 #include "runner/trial_runner.h"
 
 namespace dhc::runner {
-
-/// A named, frozen benchmark scenario.
-struct BenchPreset {
-  std::string name;
-  std::string description;
-  Scenario scenario;
-};
-
-/// All built-in presets, in execution order.  "comparison" is the headline
-/// preset: the five-algorithm head-to-head at n = 2^12 (the grid the
-/// trajectory's 2x targets are stated against); "perf-smoke" is the small
-/// grid CI runs on every push.
-const std::vector<BenchPreset>& bench_presets();
-
-/// Preset by name, or nullptr.
-const BenchPreset* find_bench_preset(const std::string& name);
 
 /// One preset's measured throughput.
 struct BenchMeasurement {
@@ -69,7 +53,7 @@ struct BenchMeasurement {
   /// (Metrics::arena_bytes_peak) — 0 for presets without a CONGEST network
   /// (sequential / cre).  Deterministic, unlike rss_peak_kb.
   std::uint64_t arena_bytes_peak = 0;
-  /// The preset's per-node accounting mode (from its scenario) — the knob
+  /// The preset's per-node accounting mode (its node_stats key) — the knob
   /// the mem-probe preset pair varies, so the artifact is self-describing.
   std::string node_stats = "full";
   /// Mean rounds per phase label over all trials (the runner's
@@ -77,9 +61,10 @@ struct BenchMeasurement {
   std::map<std::string, double> phase_rounds_mean;
 };
 
-/// Expands and runs one preset, timing the run_trials() call only (scenario
-/// expansion and artifact writing are excluded).
-BenchMeasurement run_bench_preset(const BenchPreset& preset, const RunnerOptions& opt);
+/// Expands and runs one preset scenario, recorded under its name, timing the
+/// run_trials() call only (scenario expansion and artifact writing are
+/// excluded).
+BenchMeasurement run_bench_preset(const Scenario& preset, const RunnerOptions& opt);
 
 /// BENCH_congest.json: {"bench": "congest", "schema": 5, "threads": T,
 /// "shards": S, "scenarios": [...]} where threads/shards are the requested

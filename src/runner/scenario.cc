@@ -229,6 +229,7 @@ std::vector<TrialConfig> expand(const Scenario& s) {
                         tc.reliability = reliability;
                         tc.rto = async ? s.rto : "";
                         tc.max_rounds = async ? s.max_rounds : 0;
+                        tc.node_stats = s.node_stats;
                         // The graph seed depends only on the instance
                         // parameters, so trials that differ in algorithm /
                         // merge strategy / machine count / fault intensity

@@ -163,6 +163,8 @@ struct TrialConfig {
   std::string reliability = "none";
   std::string rto;                ///< empty unless model == kAsync.
   std::uint64_t max_rounds = 0;   ///< 0 unless model == kAsync (0 = engine default).
+  /// The scenario's per-node accounting mode (congest::NodeStatsMode).
+  congest::NodeStatsMode node_stats = congest::NodeStatsMode::kFull;
   std::uint64_t graph_seed = 0;
   std::uint64_t algo_seed = 0;
 };

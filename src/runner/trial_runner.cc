@@ -173,7 +173,7 @@ void run_congest_trial(TrialResult& out, const graph::Graph& g, const TrialConfi
                        const TrialOptions& opt, trace::TraceRecorder* rec) {
   congest::EngineHooks hooks;
   hooks.trace = rec;
-  hooks.node_stats = opt.node_stats;
+  hooks.node_stats = t.node_stats;
   const core::CongestAlgorithm algo = congest_algorithm_for(t, hooks);
 
   core::Result r;
@@ -271,7 +271,7 @@ TrialResult run_trial_unchecked(const TrialConfig& t, const TrialOptions& opt) {
     meta.machines = t.machines;
     meta.bandwidth = t.bandwidth;
     meta.shards = opt.shards != 0 ? opt.shards : congest::default_shards();
-    meta.node_stats = congest::to_string(opt.node_stats);
+    meta.node_stats = congest::to_string(t.node_stats);
     meta.config_index = t.config_index;
     meta.trial_index = t.trial_index;
     recorder.set_meta(std::move(meta));
@@ -385,7 +385,6 @@ std::vector<TrialResult> run_trials(const std::vector<TrialConfig>& trials,
   topt.verify = opt.verify;
   topt.shards = par.shards;
   topt.trace_dir = opt.trace_dir;
-  topt.node_stats = opt.node_stats;
   topt.track_rss = opt.track_rss;
   support::WorkerPool pool(par.threads);
   pool.run(trials.size(), [&](std::size_t i) {

@@ -66,8 +66,10 @@
 //                     bitwise-comparable across thread counts leave it off)
 //
 // Benchmark mode (perf trajectory; see README "Performance tracking"):
-//   --bench=LIST      run the named presets (or "all"); prints throughput and
-//                     writes the BENCH artifact instead of scenario output
+//   --bench=FILE[,FILE...]  run each preset scenario file (bench/presets/
+//                     *.scn), recorded under its name key; prints throughput
+//                     and writes the BENCH artifact instead of scenario
+//                     output.  A missing, empty or unreadable list exits 2.
 //   --bench-json=PATH BENCH artifact path (default BENCH_congest.json)
 //   plus --threads, --shards and --verify; any other flag is an error.
 #include <algorithm>
@@ -78,7 +80,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -93,9 +94,8 @@
 namespace {
 
 // dhc_run's own flags; every other flag must be a scenario key.
-constexpr std::array<std::string_view, 10> kToolFlags = {
-    "threads", "shards", "json", "csv", "verify", "trace", "track_rss", "bench", "bench-json",
-    "help"};
+constexpr std::array<std::string_view, 8> kToolFlags = {
+    "threads", "shards", "json", "csv", "verify", "trace", "track_rss", "help"};
 
 // Shared flag validation: negative or absurd values are rejected with exit
 // code 2 (the env path, congest::default_shards(), applies the same bounds).
@@ -132,30 +132,15 @@ int run_bench_mode(const dhc::support::Cli& cli) {
   opt.verify = cli.get_bool("verify", true);
   opt.shards = checked_unsigned(cli, "shards", 1 << 20);
 
-  std::vector<const runner::BenchPreset*> selected;
-  // A bare `--bench` is stored by Cli as "true"; treat it like "all".
-  const std::string spec = cli.get_string("bench", "all");
-  if (spec.empty() || spec == "all" || spec == "true") {
-    for (const auto& p : runner::bench_presets()) selected.push_back(&p);
-  } else {
-    std::istringstream is(spec);
-    std::string name;
-    while (std::getline(is, name, ',')) {
-      const auto* p = runner::find_bench_preset(name);
-      if (p == nullptr) {
-        std::string known;
-        for (const auto& q : runner::bench_presets()) known += " " + q.name;
-        throw std::invalid_argument("unknown bench preset '" + name + "' (known:" + known + ")");
-      }
-      selected.push_back(p);
-    }
-  }
-  if (selected.empty()) throw std::invalid_argument("--bench selected no presets");
+  // Every file parses before any preset runs, so a bad path fails fast.
+  const auto paths = cli.get_string_list("bench", {});
+  std::vector<runner::Scenario> presets;
+  for (const auto& path : paths) presets.push_back(runner::scenario_from_file(path));
 
   std::vector<runner::BenchMeasurement> measurements;
-  for (const auto* p : selected) {
-    std::cout << "bench '" << p->name << "': " << p->description << "\n";
-    measurements.push_back(runner::run_bench_preset(*p, opt));
+  for (std::size_t i = 0; i < presets.size(); ++i) {
+    std::cout << "bench '" << presets[i].name << "' (" << paths[i] << ")\n";
+    measurements.push_back(runner::run_bench_preset(presets[i], opt));
     const auto& m = measurements.back();
     std::cout << "  " << m.trials << " trials (" << m.successes << " ok, " << m.threads
               << " thread(s) x " << m.shards << " shard(s)) in " << m.wall_seconds
@@ -194,19 +179,18 @@ int main(int argc, char** argv) {
                    "(--delay_dist), drops (--drop_prob), and crashes "
                    "(--crash_schedule); --reliability=ack adds the "
                    "retransmit overlay (tune with --rto).\n"
+                   "--bench=FILE[,FILE...] runs benchmark preset files "
+                   "(bench/presets/*.scn) and writes the BENCH artifact "
+                   "(--bench-json=PATH).\n"
                    "See the header of tools/dhc_run.cc for the full flag list.\n";
       return EXIT_SUCCESS;
     }
-    const std::string bench_spec = cli.get_string("bench", "");
-    if (cli.has("bench") && bench_spec != "false" && bench_spec != "0") {
-      return run_bench_mode(cli);
-    }
+    if (cli.has("bench")) return run_bench_mode(cli);
     const runner::Scenario scenario = runner::scenario_from_cli(cli, kToolFlags);
     runner::RunnerOptions opt;
     opt.threads = cli.has("threads") ? checked_unsigned(cli, "threads", 1 << 20) : 1;
     opt.verify = cli.get_bool("verify", true);
     opt.shards = checked_unsigned(cli, "shards", 1 << 20);
-    opt.node_stats = scenario.node_stats;
     opt.track_rss = cli.get_bool("track_rss", false);
     if (cli.has("trace")) {
       opt.trace_dir = cli.get_string("trace", "");

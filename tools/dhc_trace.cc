@@ -23,6 +23,9 @@
 //                            otherwise.  When both artifacts carry
 //                            rss_peak_kb (schema 5+) it is additionally
 //                            pinned within the tolerance (32 MB slack floor).
+//                            A preset without a baseline entry is skipped,
+//                            but when none has one the gate exits 1: a
+//                            renamed preset must not disable it silently.
 //   --trajectory=J1,J2,...   chronological bench artifacts: every shared
 //                            preset must be no slower at each step than
 //                            --tolerance below the previous artifact (the
@@ -60,6 +63,7 @@ int bench_gate(const std::string& current_path, const std::string& baseline_path
   const JsonValue baseline = dhc::support::parse_json(slurp(baseline_path));
 
   int failures = 0;
+  int matched = 0;
   for (const JsonValue& cur : current.get("scenarios").as_array()) {
     const std::string& name = cur.str("name");
     const JsonValue* base = nullptr;
@@ -73,6 +77,7 @@ int bench_gate(const std::string& current_path, const std::string& baseline_path
       std::cout << "bench-gate: " << name << ": no baseline entry (new preset, skipped)\n";
       continue;
     }
+    ++matched;
     const double cur_tps = cur.number("trials_per_sec");
     const double base_tps = base->number("trials_per_sec");
     const double ratio = base_tps > 0.0 ? cur_tps / base_tps : 1.0;
@@ -112,6 +117,11 @@ int bench_gate(const std::string& current_path, const std::string& baseline_path
                 << " kB" << (rss_ok ? " (ok)" : " (FOOTPRINT REGRESSION)") << "\n";
       if (!rss_ok) ++failures;
     }
+  }
+  if (matched == 0) {
+    std::cout << "bench-gate: FAILED (no preset in " << current_path
+              << " has a baseline entry in " << baseline_path << ")\n";
+    return EXIT_FAILURE;
   }
   if (failures > 0) {
     std::cout << "bench-gate: FAILED (" << failures << " check(s))\n";

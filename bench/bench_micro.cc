@@ -9,6 +9,7 @@
 #include <numeric>
 #include <vector>
 
+#include "congest/fault_plan.h"
 #include "congest/network.h"
 #include "core/path_treap.h"
 #include "core/sequential.h"
@@ -178,6 +179,34 @@ void BM_EngineFloodRound(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 2 * g.m()));
 }
 BENCHMARK(BM_EngineFloodRound)->Arg(1024)->Arg(4096);
+
+// The same flood on the async path under the perfbench async-lossy regime:
+// fixed:1 delays, 2% drops, reliability=ack.  Every send takes the link
+// FIFO, drop hash and delay wheel; the overlay stamps, acks and retransmits
+// until all 2m payloads have arrived exactly once.  items/s counts every
+// message the engine carried (payload, retransmits and standalone acks).
+void BM_EngineLossyAckFlood(benchmark::State& state) {
+  const auto n = static_cast<graph::NodeId>(state.range(0));
+  support::Rng grng(29);
+  const auto g = graph::gnp(n, graph::edge_probability(n, 2.5, 0.5), grng);
+  congest::FaultPlan plan(congest::DelaySpec::parse("fixed:1"), 0.02, congest::CrashSpec{},
+                          /*fault_seed=*/31);
+  plan.set_reliability(congest::ReliabilitySpec::parse("ack"), congest::RtoSpec{});
+  congest::NetworkConfig cfg;
+  cfg.faults = &plan;
+  FloodOnceProtocol protocol;
+  std::uint64_t carried = 0;
+  for (auto _ : state) {
+    congest::Network net(g, cfg);
+    const congest::Metrics m = net.run(protocol);
+    carried += m.messages;
+  }
+  if (protocol.received() != 2 * g.m() * state.iterations()) {
+    state.SkipWithError("lossy flood lost or duplicated payload");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(carried));
+}
+BENCHMARK(BM_EngineLossyAckFlood)->Arg(512)->Arg(1024);
 
 }  // namespace
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -61,6 +62,16 @@ struct Message {
 // size is pinned by perfbench/pins.json and the congest_golden digests:
 // changing it changes observable counters, not just speed.
 static_assert(sizeof(Message) == 56, "Message size is pinned by arena_bytes_peak goldens");
+
+/// A message on the async path (delay wheel, far map, overlay output)
+/// together with the CSR id of the directed edge it travels
+/// (graph row_offsets()[from] + neighbor rank): the id is known at send time
+/// and carried to maturation, so the async path never searches an adjacency
+/// row for it.
+struct TransitMessage {
+  Message msg;
+  std::size_t edge = 0;
+};
 
 /// The simulator's message buffers (outbox log, inbox arena, shard logs):
 /// huge-page backed when large (support/huge_page_allocator.h).

@@ -233,8 +233,10 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg) : graph_(&g), cfg_(cf
 
   faults_ = cfg_.faults;
   if (faults_ != nullptr) {
+    crashes_ = faults_->crashes_active();
     delay_wheel_.resize(kWheelSize);
-    // Per directed edge, indexed by the graph's CSR layout (edge_id()).
+    // Per directed edge, indexed by the graph's CSR layout
+    // (row_offsets()[from] + neighbor rank).
     const auto offsets = g.row_offsets();
     link_free_at_.assign(offsets.empty() ? 0 : offsets.back(), 0);
     if (faults_->round_limit() != 0) {
@@ -333,8 +335,8 @@ std::uint64_t Network::next_armed_round() const {
   return best;
 }
 
-void Network::enqueue_async(NodeId from, NodeId to, const Message& msg) {
-  const std::size_t edge = edge_id(from, to);
+void Network::enqueue_async(NodeId from, NodeId to, std::size_t rank, const Message& msg) {
+  const std::size_t edge = graph_->row_offsets()[from] + rank;
   if (reliable_ == nullptr) {
     file_async(from, to, edge, msg);
     return;
@@ -349,7 +351,7 @@ void Network::enqueue_async(NodeId from, NodeId to, const Message& msg) {
   file_async(from, to, edge, stamped);
 }
 
-void Network::file_async(NodeId from, NodeId to, std::size_t edge_id, const Message& msg) {
+void Network::file_async(NodeId from, NodeId to, std::size_t edge, const Message& msg) {
   // Each directed link serializes at one message per round: a message
   // departs at the later of "now" and the link's next free slot, so a
   // same-round burst (legal here — a node answering several delayed
@@ -359,7 +361,7 @@ void Network::file_async(NodeId from, NodeId to, std::size_t edge_id, const Mess
   // arrivals stay in send order (FIFO) with or without queueing; a
   // sync-legal schedule never queues, keeping latency-1 runs bitwise
   // equal to the synchronous engine.
-  std::uint64_t& free_at = link_free_at_[edge_id];
+  std::uint64_t& free_at = link_free_at_[edge];
   const std::uint64_t depart = std::max(round_, free_at);
   free_at = depart + 1;
   if (faults_->drop(from, to, round_)) {  // lost in transit; the slot is spent
@@ -369,16 +371,21 @@ void Network::file_async(NodeId from, NodeId to, std::size_t edge_id, const Mess
   const std::uint64_t latency = (depart - round_) + faults_->delay(from, to);
   if (latency > 1) metrics_.delayed_messages += 1;
   const std::uint64_t target = round_ + latency;
-  auto& bucket =
-      latency < kWheelSize ? delay_wheel_[target & kWheelMask] : far_messages_[target];
+  TransitBucket* bucket;
   if (latency < kWheelSize) {
+    bucket = &delay_wheel_[target & kWheelMask];
+    if (bucket->capacity() == 0 && !spare_buckets_.empty()) {
+      bucket->swap(spare_buckets_.back());
+      spare_buckets_.pop_back();
+    }
     ++delay_armed_;
   } else {
+    bucket = &far_messages_[target];
     ++far_msg_armed_;
   }
-  Message& slot = bucket.emplace_back(msg);
-  slot.from = from;
-  slot.to = to;
+  TransitMessage& slot = bucket->emplace_back(msg, edge);
+  slot.msg.from = from;
+  slot.msg.to = to;
 }
 
 void Network::service_transport() {
@@ -389,9 +396,8 @@ void Network::service_transport() {
   // traffic counts in messages/bits (acks at header-only cost) but not in
   // the per-node send stats, which stay protocol-only.
   transport_batch_.clear();
-  reliable_->collect_due(
-      round_, [&](NodeId v) { return faults_->crashed(v, round_); }, transport_batch_);
-  for (const Message& m : transport_batch_) {
+  reliable_->collect_due(round_, crashes_ ? faults_ : nullptr, transport_batch_);
+  for (const auto& [m, edge] : transport_batch_) {
     if (m.rel_seq != 0) {
       metrics_.retransmits += 1;
       metrics_.bits += message_bits_for(m.words, bits_per_word_);
@@ -400,7 +406,7 @@ void Network::service_transport() {
       metrics_.bits += message_bits_for(0, bits_per_word_);
     }
     metrics_.messages += 1;
-    file_async(m.from, m.to, edge_id(m.from, m.to), m);
+    file_async(m.from, m.to, edge, m);
   }
 }
 
@@ -435,9 +441,9 @@ void Network::mature_async_messages() {
     if (inbox_count_[m.to]++ == 0) next_active_.push_back(m.to);
     outbox_.push_back(m);
   };
-  const auto deliver = [&](std::vector<Message>& msgs) {
-    for (const Message& m : msgs) {
-      if (faults_->crashed(m.to, round_)) {
+  const auto deliver = [&](const TransitBucket& msgs) {
+    for (const auto& [m, edge] : msgs) {
+      if (crashes_ && faults_->crashed(m.to, round_)) {
         // Crashed receivers lose even overlay traffic — no ack forms, so the
         // sender's timer keeps the payload alive until after the rejoin.
         metrics_.crash_dropped_messages += 1;
@@ -452,7 +458,6 @@ void Network::mature_async_messages() {
       // payloads never reach the protocol (no activation, no received
       // count); an in-order payload releases any buffered successors with
       // it, in seq order.
-      const std::size_t edge = edge_id(m.from, m.to);
       switch (reliable_->on_arrival(edge, m, round_)) {
         case ReliableOverlay::Arrival::kAck:
           break;
@@ -481,6 +486,13 @@ void Network::mature_async_messages() {
   delay_armed_ -= bucket.size();
   deliver(bucket);
   bucket.clear();
+  // Recycle the drained storage into the spare pool (or release it once the
+  // pool is full): the bucket is left without capacity, so its next filing
+  // draws from the pool.
+  if (bucket.capacity() != 0) {
+    if (spare_buckets_.size() < kSpareBuckets) spare_buckets_.push_back(std::move(bucket));
+    bucket = TransitBucket();
+  }
 }
 
 void Network::filter_crashed_active() {
@@ -666,7 +678,11 @@ void Network::merge_shard_logs() {
       // send order.  Every drop/delay decision is a pure hash of the edge
       // and round, so this serial replay makes exactly the decisions the
       // sequential path makes — shard invariance needs no extra argument.
-      for (const Message& m : sh.outbox) enqueue_async(m.from, m.to, m);
+      // Shard logs hold plain messages, so this is the one async path that
+      // searches the sender's row for the rank.
+      for (const Message& m : sh.outbox) {
+        enqueue_async(m.from, m.to, graph_->neighbor_rank(m.from, m.to), m);
+      }
     } else if (node_stats_ == NodeStatsMode::kFull) {
       for (const Message& m : sh.outbox) {
         metrics_.node_messages_received[m.to] += 1;

@@ -345,18 +345,20 @@ class Network {
 
   // --- async delivery (cfg.faults != nullptr) ---
 
-  /// Routes one committed send through the fault plan: dropped messages
-  /// vanish (counted), surviving ones are filed in the message delay wheel
-  /// (or the far map) under round_ + latency.  With the reliable overlay
-  /// engaged, the message is seq-stamped and buffered for retransmission
-  /// first.  Serial only: called from the sequential send path and from the
-  /// shard-log merge, never from inside a parallel section.
-  void enqueue_async(NodeId from, NodeId to, const Message& msg);
+  /// Routes one committed send from→to (`rank`: to's position in from's
+  /// neighbor row, so the CSR edge id is one add) through the fault plan:
+  /// dropped messages vanish (counted), surviving ones are filed in the
+  /// message delay wheel (or the far map) under round_ + latency.  With the
+  /// reliable overlay engaged, the message is seq-stamped and buffered for
+  /// retransmission first.  Serial only: called from the sequential send
+  /// path and from the shard-log merge, never from inside a parallel
+  /// section.
+  void enqueue_async(NodeId from, NodeId to, std::size_t rank, const Message& msg);
   /// The transport tail of enqueue_async: link FIFO slot, drop decision,
-  /// delay assignment, wheel filing.  Also carries the overlay's own traffic
-  /// (retransmits, standalone acks), which shares the fate machinery of
-  /// first sends.
-  void file_async(NodeId from, NodeId to, std::size_t edge_id, const Message& msg);
+  /// delay assignment, wheel filing (the edge id rides along to
+  /// maturation).  Also carries the overlay's own traffic (retransmits,
+  /// standalone acks), which shares the fate machinery of first sends.
+  void file_async(NodeId from, NodeId to, std::size_t edge, const Message& msg);
   /// Fires the overlay timers due this round and files the resulting
   /// retransmit / standalone-ack messages (with Metrics accounting).
   void service_transport();
@@ -369,11 +371,6 @@ class Network {
   bool any_delivery_pending() const { return delay_armed_ != 0 || !far_messages_.empty(); }
   /// Drops crashed nodes from the freshly built active set (serial pass).
   void filter_crashed_active();
-
-  /// Directed-edge id of from→to in the graph's CSR layout (must be an edge).
-  std::size_t edge_id(NodeId from, NodeId to) const {
-    return graph_->row_offsets()[from] + graph_->neighbor_rank(from, to);
-  }
 
   void send_from(ShardState* sh, NodeId from, NodeId to, const Message& msg);
   void send_ranked(ShardState* sh, NodeId from, std::size_t rank, const Message& msg);
@@ -420,21 +417,28 @@ class Network {
   // message delay wheel mirrors the wake-up wheel: one bucket per upcoming
   // round; deliveries ≥ kWheelSize rounds out live in the ordered far map.
   // Bucket append order is the global send order, so maturation preserves
-  // the arrival-order determinism the synchronous scatter guarantees.
-  const FaultPlan* faults_ = nullptr;              // hoisted out of cfg_
-  std::vector<std::uint64_t> link_free_at_;        // per directed edge: next free departure round
-  std::vector<std::vector<Message>> delay_wheel_;  // kWheelSize buckets
-  std::size_t delay_armed_ = 0;                    // messages across buckets
-  std::map<std::uint64_t, std::vector<Message>> far_messages_;  // round → msgs
-  std::size_t far_msg_armed_ = 0;                  // messages across the far map
+  // the arrival-order determinism the synchronous scatter guarantees.  A
+  // drained bucket hands its storage to a small spare pool and an empty
+  // bucket draws from it, so a flood sweeping the wheel recycles a few
+  // buffers instead of leaving every bucket at its high-water capacity.
+  using TransitBucket = std::vector<TransitMessage>;
+  static constexpr std::size_t kSpareBuckets = 4;
+  const FaultPlan* faults_ = nullptr;         // hoisted out of cfg_
+  bool crashes_ = false;                      // faults_->crashes_active(), hoisted
+  std::vector<std::uint64_t> link_free_at_;   // per directed edge: next free departure round
+  std::vector<TransitBucket> delay_wheel_;    // kWheelSize buckets
+  std::vector<TransitBucket> spare_buckets_;  // drained storage, ≤ kSpareBuckets
+  std::size_t delay_armed_ = 0;               // messages across buckets
+  std::map<std::uint64_t, TransitBucket> far_messages_;  // round → msgs
+  std::size_t far_msg_armed_ = 0;             // messages across the far map
 
   // Reliable-delivery overlay (congest/reliable.h).  Engaged only when the
   // plan requests reliability=ack AND can actually lose messages (drops or
   // crashes active): lossless runs bypass it entirely, which is what pins
   // reliability=ack bitwise-identical to reliability=none at drop=0.
   std::unique_ptr<ReliableOverlay> reliable_;
-  std::vector<Message> transport_batch_;  // service_transport scratch
-  std::vector<Message> drain_batch_;      // in-order release scratch
+  std::vector<TransitMessage> transport_batch_;  // service_transport scratch
+  std::vector<Message> drain_batch_;             // in-order release scratch
 
   std::vector<ShardState> shard_state_;          // size shards_ when sharding
   std::unique_ptr<support::WorkerPool> pool_;    // created on first sharded round
@@ -509,7 +513,7 @@ inline void Network::commit_send(ShardState* sh, NodeId from, NodeId to, std::si
     if (faults_ != nullptr) {
       // Async regime: the receiver-side bookkeeping happens at maturation,
       // not send, time (messages counts *sends*; received counts arrivals).
-      enqueue_async(from, to, msg);
+      enqueue_async(from, to, rank, msg);
       return;
     }
     if (node_stats_ == NodeStatsMode::kFull) metrics_.node_messages_received[to] += 1;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "congest/fault_plan.h"
+
 namespace dhc::congest {
 
 namespace {
@@ -202,9 +204,8 @@ void ReliableOverlay::drain_in_order(std::size_t edge, std::vector<Message>& out
   if (k != 0) buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(k));
 }
 
-void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
-                                 const std::function<bool(NodeId)>& crashed,
-                                 std::vector<Message>& out) {
+void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now, const FaultPlan* crashes,
+                                 std::vector<TransitMessage>& out) {
   const std::size_t e = t.edge;
   if (t.kind == TimerKind::kRetransmit) {
     if (retrans_due_[e] != now) return;  // stale hint
@@ -214,7 +215,7 @@ void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
       --live_timers_;
       return;
     }
-    if (crashed(edge_tail_[e])) {
+    if (crashes != nullptr && crashes->crashed(edge_tail_[e], now)) {
       // A crashed sender can't act; the buffer survives and the timer
       // re-arms at the same timeout (the crash, not congestion, is the
       // cause) so retransmission resumes after the rejoin.
@@ -231,8 +232,8 @@ void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
       --live_timers_;
     }
     for (const Message& m : buf) {
-      Message& copy = out.emplace_back(m);
-      copy.rel_ack = piggy;
+      TransitMessage& copy = out.emplace_back(m, e);
+      copy.msg.rel_ack = piggy;
     }
     cur_rto_[e] = std::min(cur_rto_[e] * rto_.mult, rto_.max);
     retrans_due_[e] = now + cur_rto_[e];
@@ -240,13 +241,13 @@ void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
   } else {
     if (ack_due_[e] != now) return;  // stale hint
     const std::size_t rev = reverse_edge_[e];
-    if (crashed(edge_tail_[rev])) {
+    if (crashes != nullptr && crashes->crashed(edge_tail_[rev], now)) {
       // The ack is owed by e's head, which is crashed; retry next round.
       ack_due_[e] = now + 1;
       file_timer(now, ack_due_[e], t.edge, TimerKind::kAck);
       return;
     }
-    Message& ack = out.emplace_back();
+    Message& ack = out.emplace_back(Message{}, rev).msg;
     ack.from = edge_tail_[rev];
     ack.to = edge_tail_[e];
     ack.rel_seq = 0;  // standalone ack: no payload, header only
@@ -256,9 +257,8 @@ void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
   }
 }
 
-void ReliableOverlay::collect_due(std::uint64_t now,
-                                  const std::function<bool(NodeId)>& crashed,
-                                  std::vector<Message>& out) {
+void ReliableOverlay::collect_due(std::uint64_t now, const FaultPlan* crashes,
+                                  std::vector<TransitMessage>& out) {
   // Far entries first (they were armed earliest), then the wheel bucket in
   // append order — a fixed, deterministic service order.  Far keys the
   // event-driven advance jumped past hold only stale hints (a live timer's
@@ -266,14 +266,14 @@ void ReliableOverlay::collect_due(std::uint64_t now,
   while (!far_timers_.empty() && far_timers_.begin()->first <= now) {
     fire_scratch_.swap(far_timers_.begin()->second);
     far_timers_.erase(far_timers_.begin());
-    for (const TimerEntry& t : fire_scratch_) fire_entry(t, now, crashed, out);
+    for (const TimerEntry& t : fire_scratch_) fire_entry(t, now, crashes, out);
     fire_scratch_.clear();
   }
   auto& bucket = timer_wheel_[now & kWheelMask];
   // Swap out before firing: re-arms file into other buckets (fire rounds are
   // always > now and wheel distances < kWheelSize), never this one.
   fire_scratch_.swap(bucket);
-  for (const TimerEntry& t : fire_scratch_) fire_entry(t, now, crashed, out);
+  for (const TimerEntry& t : fire_scratch_) fire_entry(t, now, crashes, out);
   fire_scratch_.clear();
 }
 

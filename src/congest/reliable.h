@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -38,6 +37,8 @@
 #include "graph/graph.h"
 
 namespace dhc::congest {
+
+class FaultPlan;  // congest/fault_plan.h
 
 /// Retransmit-timer parameters.  Spec strings use ':' separators so they
 /// survive comma-separated scenario axis lists:
@@ -109,11 +110,14 @@ class ReliableOverlay {
 
   /// Fires every timer due at `now`, appending the messages the transport
   /// owes the network — retransmit copies (rel_seq > 0, refreshed rel_ack)
-  /// and standalone acks (rel_seq == 0) — in deterministic timer order.
-  /// Timers owned by a currently crashed endpoint defer instead of firing
-  /// (the work survives the crash window; see DESIGN.md §9).
-  void collect_due(std::uint64_t now, const std::function<bool(NodeId)>& crashed,
-                   std::vector<Message>& out);
+  /// and standalone acks (rel_seq == 0) — in deterministic timer order,
+  /// each with the directed edge it travels (a retransmit its own link, an
+  /// ack the reverse of the link it acknowledges).  Timers owned by an
+  /// endpoint that `crashes` reports crashed at `now` defer instead of
+  /// firing (the work survives the crash window; see DESIGN.md §9);
+  /// `crashes` is nullptr when the plan schedules no crash.
+  void collect_due(std::uint64_t now, const FaultPlan* crashes,
+                   std::vector<TransitMessage>& out);
 
   /// True while any link still owes traffic (unacked payload or a pending
   /// standalone ack) — the overlay's contribution to the quiescence check.
@@ -144,8 +148,8 @@ class ReliableOverlay {
   void file_timer(std::uint64_t now, std::uint64_t fire, std::uint32_t edge, TimerKind kind);
   void process_ack(std::size_t edge, std::uint32_t ack, std::uint64_t now);
   void schedule_ack(std::size_t edge, std::uint64_t now);
-  void fire_entry(const TimerEntry& e, std::uint64_t now,
-                  const std::function<bool(NodeId)>& crashed, std::vector<Message>& out);
+  void fire_entry(const TimerEntry& e, std::uint64_t now, const FaultPlan* crashes,
+                  std::vector<TransitMessage>& out);
 
   RtoSpec rto_;
 

@@ -271,14 +271,18 @@ namespace {
 
 std::vector<std::string> split_commas(const std::string& key, const std::string& value) {
   if (value.empty()) throw std::invalid_argument("scenario key '" + key + "' has an empty value");
+  // std::getline yields no element after a final comma, so "64," would
+  // otherwise parse as "64": a trailing comma is an empty element too.
+  const auto empty_element = [&] {
+    return std::invalid_argument("scenario key '" + key + "' has an empty list element in '" +
+                                 value + "'");
+  };
+  if (value.back() == ',') throw empty_element();
   std::vector<std::string> parts;
   std::istringstream is(value);
   std::string part;
   while (std::getline(is, part, ',')) {
-    if (part.empty()) {
-      throw std::invalid_argument("scenario key '" + key + "' has an empty list element in '" +
-                                  value + "'");
-    }
+    if (part.empty()) throw empty_element();
     parts.push_back(part);
   }
   return parts;

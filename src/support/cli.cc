@@ -22,11 +22,15 @@ double whole_double(const std::string& s) {
   return pos == s.size() ? v : throw std::invalid_argument("trailing junk");
 }
 
+// Every comma-separated element, the empty ones included: std::getline
+// yields none after a final separator, so a trailing comma adds its empty
+// element back for the callers to reject.
 std::vector<std::string> split_commas(const std::string& s) {
   std::vector<std::string> parts;
   std::istringstream is(s);
   std::string part;
   while (std::getline(is, part, ',')) parts.push_back(part);
+  if (!s.empty() && s.back() == ',') parts.emplace_back();
   return parts;
 }
 

@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -184,6 +185,24 @@ TEST(DhcRunClaims, ExitCodeThreeOnAFailingClaim) {
   EXPECT_EQ(run_dhc_run(cells + "claims = rounds / (n * ln(n)) < 7\n"), 0);
   EXPECT_EQ(run_dhc_run(cells + "claims = rounds / (n * ln(n)) < 7; rounds < 0\n"), 3);
   EXPECT_EQ(run_dhc_run(cells + "claims = rounds =< 7\n"), 2);  // bad usage stays 2
+}
+
+// An --algos override shifts every later cell's algorithm seed, so dhc_run
+// says on stderr that the trials are not a rerun of the file's cells.
+TEST(DhcRunClaims, AlgosOverrideOfAScenarioFileIsNoted) {
+  const std::string path = ::testing::TempDir() + "dhc_algos_note_test.scn";
+  std::ofstream(path) << "algos = sequential,dra\nsizes = 64\ndeltas = 1\ncs = 6\nseeds = 1\n";
+  const std::string err = ::testing::TempDir() + "dhc_algos_note_test.err";
+  const auto stderr_of = [&](const std::string& flags) {
+    const std::string cmd = std::string(DHC_RUN_BINARY) + " --scenario=" + path + " " + flags +
+                            " --json= > /dev/null 2> " + err;
+    EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+    std::ifstream in(err);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_NE(stderr_of("--algos=dra").find("note: --algos replaces"), std::string::npos);
+  EXPECT_EQ(stderr_of("--algos=sequential,dra").find("note:"), std::string::npos);
+  EXPECT_EQ(stderr_of("--sizes=32").find("note:"), std::string::npos);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace dhc::runner {
 namespace {
@@ -299,6 +300,15 @@ TEST(ScenarioFromSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(scenario_from_spec({{"seeds", "0"}}), std::invalid_argument);
   EXPECT_THROW(scenario_from_spec({{"cs", ""}}), std::invalid_argument);
   EXPECT_THROW(scenario_from_spec({{"sizes", "12x"}}), std::invalid_argument);
+}
+
+TEST(ScenarioFromSpec, RejectsATrailingComma) {
+  const std::pair<std::string, std::string> lists[] = {
+      {"sizes", "64"}, {"deltas", "0.5"}, {"cs", "2.5"}, {"algos", "dra"}};
+  for (const auto& [key, one] : lists) {
+    EXPECT_NO_THROW(scenario_from_spec({{key, one}})) << key;
+    EXPECT_THROW(scenario_from_spec({{key, one + ","}}), std::invalid_argument) << key;
+  }
 }
 
 class ScenarioFileTest : public ::testing::Test {

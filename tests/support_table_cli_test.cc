@@ -96,6 +96,14 @@ TEST(Cli, TrailingJunkThrows) {
   EXPECT_DOUBLE_EQ(cli.get_double("n", 0.0), 1.9);
 }
 
+TEST(Cli, TrailingCommaThrows) {
+  const auto cli = make_cli({"--sizes=64,", "--deltas=0.5,", "--algos=dra,", "--bench=a.scn,"});
+  EXPECT_THROW(cli.get_int_list("sizes", {}), std::invalid_argument);
+  EXPECT_THROW(cli.get_double_list("deltas", {}), std::invalid_argument);
+  EXPECT_THROW(cli.get_string_list("algos", {}), std::invalid_argument);
+  EXPECT_THROW(cli.get_string_list("bench", {}), std::invalid_argument);
+}
+
 TEST(Cli, PositionalArgumentRejected) {
   std::vector<const char*> argv{"prog", "positional"};
   EXPECT_THROW(Cli(2, argv.data()), std::invalid_argument);

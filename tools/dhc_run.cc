@@ -187,6 +187,14 @@ int main(int argc, char** argv) {
     }
     if (cli.has("bench")) return run_bench_mode(cli);
     const runner::Scenario scenario = runner::scenario_from_cli(cli, kToolFlags);
+    if (cli.has("scenario") && (cli.has("algos") || cli.has("algo")) &&
+        runner::scenario_from_file(cli.get_string("scenario", "")).algos != scenario.algos) {
+      // expand() derives a cell's algorithm seed from its position in the
+      // grid, so a different algorithm list re-rolls the later cells' seeds.
+      std::cerr << "dhc_run: note: --algos replaces the scenario file's list; algorithm seeds "
+                   "follow each cell's position, so these trials are a new sample, not a rerun "
+                   "of the file's cells\n";
+    }
     runner::RunnerOptions opt;
     opt.threads = cli.has("threads") ? checked_unsigned(cli, "threads", 1 << 20) : 1;
     opt.verify = cli.get_bool("verify", true);
